@@ -118,7 +118,10 @@ type WormSim = netsim.WormSim
 // SimResult aggregates one simulation run.
 type SimResult = netsim.Result
 
-// Router supplies next-hop candidates to the simulator.
+// Router supplies next-hop candidates to the simulator. Candidates must
+// be a pure function of the packet state, the switch and the fault state
+// last given to UpdateFaults: the VCT engine reuses a queued head's
+// candidates until the head moves or the routing epoch changes.
 type Router = netsim.Router
 
 // TrafficPattern draws packet destinations.

@@ -227,7 +227,6 @@ func (s *Sim) releaseReady() {
 		m := &s.rep.r.Messages[mi]
 		for k := int32(0); k < s.rep.packets[mi]; k++ {
 			p := &packet{
-				id:         s.nextID,
 				srcHost:    m.SrcHost,
 				dstHost:    m.DstHost,
 				genCycle:   s.now,
@@ -235,8 +234,8 @@ func (s *Sim) releaseReady() {
 				blockSince: -1,
 				msg:        mi,
 			}
+			p.st.PktID = s.nextID
 			s.nextID++
-			p.st.PktID = p.id
 			p.st.SrcSw = m.SrcHost / int32(s.cfg.HostsPerSwitch)
 			p.st.DstSw = m.DstHost / int32(s.cfg.HostsPerSwitch)
 			s.hostQ[m.SrcHost] = append(s.hostQ[m.SrcHost], p)

@@ -62,8 +62,13 @@ func descState(d bool) uint8 {
 	return 0
 }
 
-// Router supplies next-hop candidates for packets. Implementations must
-// be deterministic functions of the packet state and current switch.
+// Router supplies next-hop candidates for packets. Candidates must be a
+// pure function of the packet state, the switch, and the fault state
+// last given to UpdateFaults (for a FaultAware router): no hidden
+// counters, no randomness, no dependence on call order. The VCT engine
+// relies on this: it asks once for a queued head and reuses the answer
+// on every later grant attempt until the head moves or the routing epoch
+// changes (a fault event or the table swap at the end of a drain).
 type Router interface {
 	// Candidates appends the options for the packet at sw and returns the
 	// extended slice. Adaptive options come first, escape options last;
@@ -154,18 +159,21 @@ func (r *DuatoUpDown) Candidates(st PacketState, sw int, buf []Candidate) []Cand
 	if sw == dst {
 		return buf
 	}
-	du := r.dt.D(sw, dst)
+	// Distances are symmetric, so every lookup reads row dst: the
+	// neighbors of sw are mostly ring neighbors, whose entries share
+	// cache lines, where rows of their own would not.
+	du := r.dt.D(dst, sw)
 	if du == graph.Unreachable {
 		return buf // faults cut every path; transport times the packet out
 	}
 	// A surviving distance longer than the fault-free one means every
 	// remaining minimal hop is a fault detour.
-	detour := r.faulted && du > r.dt0.D(sw, dst)
+	detour := r.faulted && du > r.dt0.D(dst, sw)
 	for _, h := range r.g.Neighbors(sw) {
 		if r.faulted && (r.edgeDead[h.Edge] || r.swDead[h.To]) {
 			continue
 		}
-		if r.dt.D(int(h.To), dst) == du-1 {
+		if r.dt.D(dst, int(h.To)) == du-1 {
 			for vc := 1; vc < r.vcs; vc++ {
 				// Taking an adaptive hop restarts the escape path, so the
 				// descent latch clears.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"dsnet/internal/graph"
@@ -9,9 +10,8 @@ import (
 	"dsnet/internal/traffic"
 )
 
-// packet is one in-flight message.
+// packet is one in-flight message. Its id is st.PktID.
 type packet struct {
-	id       int64
 	srcHost  int32
 	dstHost  int32
 	st       PacketState
@@ -41,6 +41,14 @@ type packet struct {
 	deadlocked bool
 	recovering bool
 	aborts     int32
+	// The allocator's memory of the packet as a queue head (DESIGN.md
+	// §8), cleared when it enters a queue. hops is 1 + the offset of the
+	// header of its cached routes in Sim.hops (0 = not cached). A head
+	// whose grant failed is parked until cycle wake, or until its
+	// switch's credit version moves past ver, whichever is first.
+	wake int64
+	ver  uint32
+	hops int32
 }
 
 // vcEntry is a packet queued in an input VC buffer.
@@ -72,6 +80,30 @@ func (q *vcQueue) pop() {
 		q.head = 0
 	}
 }
+
+// hop is a run of resolved routing options of a queued head: the
+// Candidates toward one output on VCs vc..vc+nvc-1 that share their
+// flags and next state, with the output channel looked up for the
+// current routing epoch.
+type hop struct {
+	ch    int32 // output channel, -1 when no live channel leads there
+	vc    int8
+	nvc   uint8
+	flags uint8
+	state uint8 // Candidate.NewState
+}
+
+const (
+	hopEscape = 1 << iota
+	hopDetour
+	// hopParallel marks an unpinned hop whose channel has parallel
+	// twins: findOutChan picks among them by busy state at grant time.
+	hopParallel
+	// hopHeader marks the entry that opens a head's segment in Sim.hops;
+	// its ch is the owning queue's index. The segment runs to the next
+	// header.
+	hopHeader
+)
 
 // Deferred mutations are scheduled on a timing wheel: a ring of per-cycle
 // slots whose size exceeds the maximum scheduling horizon (packet length
@@ -156,6 +188,20 @@ type Sim struct {
 	rrVC []int // per-channel round-robin VC pointer
 
 	scratch []Candidate // reusable candidate buffer
+
+	// Event-driven allocation state (DESIGN.md §8). swQueued and
+	// chQueued count the packets queued at each switch's inputs and at
+	// each input channel, so allocate skips idle switches and channels.
+	// credVer is bumped on every credit returned to one of a switch's
+	// outputs and on grants onto parallel channels; a parked head whose
+	// switch's version moved wakes. hops is the arena of cached head
+	// routes, emptied at every routing epoch.
+	swQueued []int32
+	chQueued []int32
+	credVer  []uint32
+	parallel []bool // per channel: another edge joins the same two switches
+	hops     []hop
+	fresh    []hop // routes of a head that has none cached
 
 	wheel *timingWheel[wheelEv]
 
@@ -294,6 +340,20 @@ func NewSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float
 	s.swDead = make([]bool, nSw)
 	s.chanDead = make([]bool, nChan)
 	s.firstFault = -1
+	s.swQueued = make([]int32, nSw)
+	s.chQueued = make([]int32, nChan)
+	s.credVer = make([]uint32, nSw)
+	s.parallel = make([]bool, nChan)
+	for sw := 0; sw < nSw; sw++ {
+		nb := g.Neighbors(sw)
+		for i, h := range nb {
+			for j, o := range nb {
+				if i != j && o.To == h.To {
+					s.parallel[s.outChanOf(sw, h)] = true
+				}
+			}
+		}
+	}
 	return s, nil
 }
 
@@ -537,9 +597,18 @@ func (s *Sim) processEvents() {
 				s.faultDrop(ev.pkt, "FAULT")
 				continue
 			}
+			ev.pkt.wake, ev.pkt.hops = 0, 0
 			s.vcq[ev.vcIdx].push(vcEntry{pkt: ev.pkt, routableAt: s.now + s.cfg.PipelineCycles})
+			c := int(ev.vcIdx) / s.cfg.VCs
+			s.chQueued[c]++
+			s.swQueued[s.chanDst[c]]++
 		case evCredit:
 			s.credits[ev.vcIdx] += ev.amt
+			if c := ev.vcIdx / int32(s.cfg.VCs); int(c) < s.nChan-s.hosts {
+				// A credit for one of a switch's outputs: wake its parked
+				// heads. The channel's source is its reverse's destination.
+				s.credVer[s.chanDst[c^1]]++
+			}
 		case evDeliver:
 			s.deliver(ev.pkt, s.now)
 		case evRetry:
@@ -550,10 +619,10 @@ func (s *Sim) processEvents() {
 
 // trace logs one lifecycle event for packets under the trace budget.
 func (s *Sim) trace(p *packet, event string, args ...any) {
-	if s.cfg.Trace == nil || p.id >= s.cfg.TracePackets {
+	if s.cfg.Trace == nil || p.st.PktID >= s.cfg.TracePackets {
 		return
 	}
-	fmt.Fprintf(s.cfg.Trace, "t=%-8d pkt=%-6d %-8s", s.now, p.id, event)
+	fmt.Fprintf(s.cfg.Trace, "t=%-8d pkt=%-6d %-8s", s.now, p.st.PktID, event)
 	for i := 0; i+1 < len(args); i += 2 {
 		fmt.Fprintf(s.cfg.Trace, " %s=%v", args[i], args[i+1])
 	}
@@ -589,7 +658,9 @@ func (s *Sim) deliver(p *packet, at int64) {
 		s.rep.onDeliver(p.msg, at)
 	}
 	s.flows.onDeliver(p.srcHost, p.dstHost, p.st)
-	s.trace(p, "DELIVER", "host", p.dstHost, "hops", p.st.Step, "latency_cycles", at-p.genCycle)
+	if s.cfg.Trace != nil {
+		s.trace(p, "DELIVER", "host", p.dstHost, "hops", p.st.Step, "latency_cycles", at-p.genCycle)
+	}
 }
 
 // faultDrop handles the loss of one in-flight packet instance to a
@@ -670,20 +741,21 @@ func (s *Sim) genTraffic() {
 		}
 		if s.rng.Float64() < pktProb {
 			p := &packet{
-				id:         s.nextID,
 				srcHost:    int32(h),
 				genCycle:   s.now,
 				measured:   s.inWindow(s.now),
 				blockSince: -1,
 				msg:        -1,
 			}
+			p.st.PktID = s.nextID
 			s.nextID++
-			p.st.PktID = p.id
 			p.dstHost = int32(s.pattern.Dest(h, s.rng))
 			p.st.SrcSw = int32(h / s.cfg.HostsPerSwitch)
 			p.st.DstSw = p.dstHost / int32(s.cfg.HostsPerSwitch)
 			s.hostQ[h] = append(s.hostQ[h], p)
-			s.trace(p, "GEN", "src", h, "dst", p.dstHost)
+			if s.cfg.Trace != nil {
+				s.trace(p, "GEN", "src", h, "dst", p.dstHost)
+			}
 			s.generatedTotal++
 			if p.measured {
 				s.genMeasured++
@@ -729,7 +801,9 @@ func (s *Sim) driveHosts() {
 			vcIdx: c*int32(s.cfg.VCs) + int32(bestVC),
 			pkt:   p,
 		})
-		s.trace(p, "INJECT", "switch", h/s.cfg.HostsPerSwitch, "vc", bestVC)
+		if s.cfg.Trace != nil {
+			s.trace(p, "INJECT", "switch", h/s.cfg.HostsPerSwitch, "vc", bestVC)
+		}
 		s.lastProgress = s.now
 	}
 }
@@ -739,7 +813,7 @@ func (s *Sim) driveHosts() {
 // port may accept at most one.
 func (s *Sim) allocate() {
 	for sw := 0; sw < s.nSw; sw++ {
-		if s.faultActive && s.swDead[sw] {
+		if s.swQueued[sw] == 0 || (s.faultActive && s.swDead[sw]) {
 			continue
 		}
 		ins := s.inChans[sw]
@@ -753,7 +827,7 @@ func (s *Sim) allocate() {
 			start := s.rrIn[sw] % len(thru)
 			for k := 0; k < len(thru); k++ {
 				c := thru[(start+k)%len(thru)]
-				if s.inBusy[c] > s.now {
+				if s.chQueued[c] == 0 || s.inBusy[c] > s.now {
 					continue
 				}
 				if s.tryInput(sw, c) {
@@ -766,7 +840,7 @@ func (s *Sim) allocate() {
 		}
 		// Tier 2: injection channels take whatever outputs remain.
 		for _, c := range ins[s.thruCount[sw]:] {
-			if s.inBusy[c] > s.now {
+			if s.chQueued[c] == 0 || s.inBusy[c] > s.now {
 				continue
 			}
 			s.tryInput(sw, c)
@@ -775,7 +849,9 @@ func (s *Sim) allocate() {
 }
 
 // tryInput attempts to grant the head packet of one VC of input channel c
-// at switch sw. Returns true if a packet was launched.
+// at switch sw. Returns true if a packet was launched. A parked head
+// skips the grant attempt, which would fail, but every per-cycle
+// observation still runs in order.
 func (s *Sim) tryInput(sw int, c int32) bool {
 	vcs := s.cfg.VCs
 	startVC := s.rrVC[c] % vcs
@@ -793,7 +869,7 @@ func (s *Sim) tryInput(sw int, c int32) bool {
 			s.maxHOLWait = wait
 		}
 		if s.mon.MaxHOLWaitCycles > 0 && s.now-e.routableAt > s.mon.MaxHOLWaitCycles {
-			s.violate(MonitorHOLWait, e.pkt.id,
+			s.violate(MonitorHOLWait, e.pkt.st.PktID,
 				"head-of-line packet waited %d cycles (bound %d) at switch %d channel %d",
 				s.now-e.routableAt, s.mon.MaxHOLWaitCycles, sw, c)
 		}
@@ -807,14 +883,14 @@ func (s *Sim) tryInput(sw int, c int32) bool {
 			// unreachable) drains back to the source retry path instead
 			// of wedging the network.
 			p := e.pkt
-			q.pop()
+			s.dequeue(q, sw, c)
 			s.timedOutTotal++
 			s.returnCredits(c, int32(vc))
 			s.faultDrop(p, "TIMEOUT")
 			continue
 		}
-		if s.grant(sw, c, int32(vc), e.pkt) {
-			q.pop()
+		if p := e.pkt; (p.wake <= s.now || p.ver != s.credVer[sw]) && s.grant(sw, c, int32(vc), p) {
+			s.dequeue(q, sw, c)
 			s.rrVC[c] = (vc + 1) % vcs
 			return true
 		}
@@ -847,30 +923,59 @@ func (s *Sim) observeStall(sw int, c, vc int32, e *vcEntry) {
 	}
 	if !p.deadlocked {
 		p.deadlocked = true
-		s.rec.tr.Confirmed(s.now, p.id, int32(sw))
+		s.rec.tr.Confirmed(s.now, p.st.PktID, int32(sw))
 		s.trace(p, "DLKCONF", "switch", sw, "waited", s.now-e.routableAt)
 	}
 	v := s.rec.victim
-	if v == nil || p.genCycle < v.genCycle || (p.genCycle == v.genCycle && p.id < v.id) {
+	if v == nil || p.genCycle < v.genCycle || (p.genCycle == v.genCycle && p.st.PktID < v.st.PktID) {
 		s.rec.victim, s.rec.victimC, s.rec.victimVC, s.rec.victimSw = p, c, vc, int32(sw)
 	}
 }
 
-// grant routes packet p (currently at the head of input (c, vc) of switch
-// sw) to an output if one is available. Returns true on success.
+// dequeue removes the head of queue q of input channel c at switch sw.
+func (s *Sim) dequeue(q *vcQueue, sw int, c int32) {
+	q.pop()
+	s.swQueued[sw]--
+	s.chQueued[c]--
+}
+
+// park records that head p at switch sw cannot be granted before cycle
+// wake unless a credit returns to one of sw's outputs first.
+func (s *Sim) park(p *packet, sw int, wake int64) {
+	p.wake, p.ver = wake, s.credVer[sw]
+}
+
+// newRoutingEpoch forgets every cached route and parked head: the
+// router's tables, the death masks or a repaired channel's flow control
+// just changed, so every head routes afresh.
+func (s *Sim) newRoutingEpoch() {
+	for i := range s.vcq {
+		if q := &s.vcq[i]; !q.empty() {
+			q.front().pkt.wake, q.front().pkt.hops = 0, 0
+		}
+	}
+	s.hops = s.hops[:0]
+}
+
+// grant routes packet p (currently at the head of input (c, vc) of
+// switch sw) to an output if one is available. Returns true on success;
+// on failure the head is parked.
 func (s *Sim) grant(sw int, c, vc int32, p *packet) bool {
 	pf := int64(s.cfg.PacketFlits)
 	if int32(sw) == p.st.DstSw {
 		// Ejection to the destination host.
 		host := int(p.dstHost)
 		if s.ejBusy[host] > s.now {
+			s.park(p, sw, s.ejBusy[host])
 			return false
 		}
 		s.ejBusy[host] = s.now + pf
 		s.inBusy[c] = s.now + pf
 		s.wheel.schedule(s.now, s.now+pf+s.cfg.LinkDelayCycles, wheelEv{kind: evDeliver, pkt: p})
 		s.returnCredits(c, vc)
-		s.trace(p, "EJECT", "switch", sw, "host", host)
+		if s.cfg.Trace != nil {
+			s.trace(p, "EJECT", "switch", sw, "host", host)
+		}
 		s.lastProgress = s.now
 		s.released(p, sw)
 		return true
@@ -878,9 +983,22 @@ func (s *Sim) grant(sw int, c, vc int32, p *packet) bool {
 	if s.mon.HopTTL > 0 && !p.rerouted && !p.recovering && p.st.Step >= s.mon.HopTTL {
 		// The packet has already taken HopTTL hops and still is not at
 		// its destination: the next grant would exceed the bound.
-		s.violate(MonitorHopTTL, p.id, "packet exceeded the %d-hop route bound (src sw %d, dst sw %d, at sw %d)",
+		s.violate(MonitorHopTTL, p.st.PktID, "packet exceeded the %d-hop route bound (src sw %d, dst sw %d, at sw %d)",
 			s.mon.HopTTL, p.st.SrcSw, p.st.DstSw, sw)
 		return false
+	}
+	return s.launch(sw, c, vc, p, s.routes(sw, p))
+}
+
+// routes returns the resolved candidates of head p at switch sw: the
+// cached ones, or else fresh ones that launch caches if the grant fails.
+func (s *Sim) routes(sw int, p *packet) []hop {
+	if p.hops > 0 {
+		end := int(p.hops)
+		for end < len(s.hops) && s.hops[end].flags&hopHeader == 0 {
+			end++
+		}
+		return s.hops[p.hops:end]
 	}
 	if p.recovering {
 		// A recovery-reinjected packet rides the up*/down* escape network
@@ -890,7 +1008,123 @@ func (s *Sim) grant(sw int, c, vc int32, p *packet) bool {
 	} else {
 		s.scratch = s.rt.Candidates(p.st, sw, s.scratch[:0])
 	}
-	return s.launch(sw, c, vc, p, s.scratch)
+	s.fresh = s.resolve(sw, s.scratch, s.fresh[:0])
+	return s.fresh
+}
+
+// resolve appends the hop runs of cands at switch sw to dst, in
+// candidate order. Channels that are dead for the whole epoch resolve
+// to -1.
+func (s *Sim) resolve(sw int, cands []Candidate, dst []hop) []hop {
+	for i, cand := range cands {
+		var flags uint8
+		if cand.Escape {
+			flags |= hopEscape
+		}
+		if cand.Detour {
+			flags |= hopDetour
+		}
+		if i > 0 {
+			prev, last := cands[i-1], &dst[len(dst)-1]
+			if prev.Next == cand.Next && prev.Edge == cand.Edge && last.flags&^hopParallel == flags &&
+				last.state == cand.NewState && int(last.vc)+int(last.nvc) == int(cand.VC) && last.nvc < math.MaxUint8 {
+				last.nvc++
+				continue
+			}
+		}
+		h := hop{ch: s.chanFor(sw, cand), vc: cand.VC, nvc: 1, flags: flags, state: cand.NewState}
+		if h.ch >= 0 && s.faultActive && s.chanDead[h.ch] {
+			h.ch = -1
+		}
+		if h.ch >= 0 && cand.pinnedEdge() < 0 && s.parallel[h.ch] {
+			h.flags |= hopParallel
+		}
+		dst = append(dst, h)
+	}
+	return dst
+}
+
+// keep caches the fresh routes of head p of queue qi in the hops arena
+// for its later grant attempts.
+func (s *Sim) keep(qi int32, p *packet, hops []hop) {
+	if len(s.hops)+1+len(hops) > cap(s.hops) {
+		s.compactHops(1 + len(hops))
+	}
+	p.hops = int32(len(s.hops)) + 1
+	s.hops = append(s.hops, hop{ch: qi, flags: hopHeader})
+	s.hops = append(s.hops, hops...)
+}
+
+// compactHops slides the segments of heads still cached to the front of
+// the hops arena, dropping those whose head has left its queue, and
+// doubles the arena unless need more entries leave half of it free.
+func (s *Sim) compactHops(need int) {
+	a := s.hops
+	w := 0
+	for i := 0; i < len(a); {
+		n := 1
+		for i+n < len(a) && a[i+n].flags&hopHeader == 0 {
+			n++
+		}
+		if q := &s.vcq[a[i].ch]; !q.empty() && q.front().pkt.hops == int32(i)+1 {
+			copy(a[w:], a[i:i+n])
+			q.front().pkt.hops = int32(w) + 1
+			w += n
+		}
+		i += n
+	}
+	a = a[:w]
+	if 2*(w+need) > cap(a) {
+		grown := make([]hop, w, max(2*cap(a), 2*(w+need)))
+		copy(grown, a)
+		a = grown
+	}
+	s.hops = a
+}
+
+// hopChan is the output channel a cached hop takes this cycle.
+func (s *Sim) hopChan(sw int, h hop) int32 {
+	if h.flags&hopParallel != 0 {
+		return s.findOutChan(sw, int(s.chanDst[h.ch]))
+	}
+	return h.ch
+}
+
+// wakeAt is the first cycle at which the failed grant of head p at
+// switch sw could succeed without a credit returning to sw's outputs:
+// the earliest expiry of a busy output among the hops it was allowed to
+// try (every live parallel twin counts, since findOutChan prefers an
+// idle one), or the end of its escape patience.
+func (s *Sim) wakeAt(sw int, p *packet, hops []hop, patienceUp bool) int64 {
+	wake := int64(math.MaxInt64)
+	if !patienceUp {
+		wake = p.blockSince + s.cfg.EscapePatienceCycles
+	}
+	for _, h := range hops {
+		if h.ch < 0 || (h.flags&hopEscape != 0 && !patienceUp) {
+			continue
+		}
+		if h.flags&hopParallel == 0 {
+			if b := s.outBusy[h.ch]; b > s.now && b < wake {
+				wake = b
+			}
+			continue
+		}
+		next := s.chanDst[h.ch]
+		for _, nb := range s.g.Neighbors(sw) {
+			if nb.To != next {
+				continue
+			}
+			c := s.outChanOf(sw, nb)
+			if s.faultActive && s.chanDead[c] {
+				continue
+			}
+			if b := s.outBusy[c]; b > s.now && b < wake {
+				wake = b
+			}
+		}
+	}
+	return wake
 }
 
 // launch picks the best available candidate and starts the transfer.
@@ -898,33 +1132,43 @@ func (s *Sim) grant(sw int, c, vc int32, p *packet) bool {
 // after the packet has been head-blocked for EscapePatienceCycles (or
 // immediately when the routing function is purely deterministic and has
 // no adaptive options at all).
-func (s *Sim) launch(sw int, c, vc int32, p *packet, cands []Candidate) bool {
+func (s *Sim) launch(sw int, c, vc int32, p *packet, hops []hop) bool {
 	pf := int32(s.cfg.PacketFlits)
+	vcs := int32(s.cfg.VCs)
 	bestIdx := -1
 	var bestCredits int32 = -1
-	var bestChan int32
-	hasAdaptive := false
-	for i, cand := range cands {
-		if cand.Escape {
-			continue
-		}
-		hasAdaptive = true
-		oc := s.chanFor(sw, cand)
-		if oc < 0 || s.outBusy[oc] > s.now || (s.faultActive && s.chanDead[oc]) {
-			continue
-		}
-		cr := s.credits[oc*int32(s.cfg.VCs)+int32(cand.VC)]
-		if cr < pf {
-			continue
-		}
-		if cr > bestCredits {
-			bestIdx, bestCredits, bestChan = i, cr, oc
+	var bestChan, bestVC int32
+	// best scans the runs of one class (adaptive or escape) for the
+	// output VC with the most credits, first one on ties.
+	best := func(escape uint8) {
+		for i, h := range hops {
+			if h.flags&hopEscape != escape {
+				continue
+			}
+			oc := s.hopChan(sw, h)
+			if oc < 0 || s.outBusy[oc] > s.now {
+				continue
+			}
+			for v := int32(h.vc); v < int32(h.vc)+int32(h.nvc); v++ {
+				if cr := s.credits[oc*vcs+v]; cr >= pf && cr > bestCredits {
+					bestIdx, bestCredits, bestChan, bestVC = i, cr, oc, v
+				}
+			}
 		}
 	}
+	best(0)
+	patienceUp := true
 	if bestIdx < 0 {
 		// No adaptive grant. Consult the escape only without adaptive
 		// options or once patience has run out.
-		patienceUp := !hasAdaptive
+		hasAdaptive := false
+		for _, h := range hops {
+			if h.flags&hopEscape == 0 {
+				hasAdaptive = true
+				break
+			}
+		}
+		patienceUp = !hasAdaptive
 		if hasAdaptive {
 			if p.blockSince < 0 {
 				p.blockSince = s.now
@@ -932,56 +1176,53 @@ func (s *Sim) launch(sw int, c, vc int32, p *packet, cands []Candidate) bool {
 			patienceUp = s.now-p.blockSince >= s.cfg.EscapePatienceCycles
 		}
 		if patienceUp {
-			for i, cand := range cands {
-				if !cand.Escape {
-					continue
-				}
-				oc := s.chanFor(sw, cand)
-				if oc < 0 || s.outBusy[oc] > s.now || (s.faultActive && s.chanDead[oc]) {
-					continue
-				}
-				cr := s.credits[oc*int32(s.cfg.VCs)+int32(cand.VC)]
-				if cr < pf {
-					continue
-				}
-				if cr > bestCredits {
-					bestIdx, bestCredits, bestChan = i, cr, oc
-				}
-			}
+			best(hopEscape)
 		}
 	}
 	if bestIdx < 0 {
+		s.park(p, sw, s.wakeAt(sw, p, hops, patienceUp))
+		if p.hops == 0 {
+			s.keep(c*vcs+vc, p, hops)
+		}
 		return false
 	}
 	p.blockSince = -1
 	s.released(p, sw)
-	cand := cands[bestIdx]
+	h := hops[bestIdx]
+	escape := h.flags&hopEscape != 0
 	if s.inWindow(s.now) {
 		s.grantsInWindow++
-		if cand.Escape {
+		if escape {
 			s.escGrantsInWindow++
 		}
 	}
-	if cand.Detour && !p.rerouted {
+	if h.flags&hopDetour != 0 && !p.rerouted {
 		p.rerouted = true
 		s.reroutedPkts++
 	}
 	pf64 := int64(s.cfg.PacketFlits)
 	s.inBusy[c] = s.now + pf64
 	s.outBusy[bestChan] = s.now + pf64
-	s.credits[bestChan*int32(s.cfg.VCs)+int32(cand.VC)] -= pf
+	if s.parallel[bestChan] {
+		// A busier twin can change which channel findOutChan offers the
+		// parked heads here.
+		s.credVer[sw]++
+	}
+	s.credits[bestChan*vcs+bestVC] -= pf
 	if s.inWindow(s.now) {
 		s.chanFlits[bestChan] += pf64
 	}
 	s.wheel.schedule(s.now, s.now+1+s.linkDelay[bestChan], wheelEv{
 		kind:  evArrive,
-		vcIdx: bestChan*int32(s.cfg.VCs) + int32(cand.VC),
+		vcIdx: bestChan*vcs + bestVC,
 		pkt:   p,
 	})
 	s.returnCredits(c, vc)
-	s.trace(p, "GRANT", "from", sw, "to", cand.Next, "vc", cand.VC, "escape", cand.Escape)
+	if s.cfg.Trace != nil {
+		s.trace(p, "GRANT", "from", sw, "to", s.chanDst[bestChan], "vc", int8(bestVC), "escape", escape)
+	}
 	p.st.Step++
-	p.st.RtState = cand.NewState
+	p.st.RtState = h.state
 	s.lastProgress = s.now
 	return true
 }
@@ -1025,6 +1266,7 @@ func (s *Sim) applyFaults() {
 		// reinjections never ride dead links.
 		s.rec.rebuild(s.g, s.edgeDead, s.swDead)
 	}
+	s.newRoutingEpoch()
 	// Fault epoch boundary: the conservation monitor audits the books
 	// right after the masks, wheel, and queues were rewritten.
 	s.checkConservation()
@@ -1050,6 +1292,7 @@ func (s *Sim) recoverStep() {
 			if fa, ok := s.rt.(FaultAware); ok {
 				fa.UpdateFaults(s.edgeDead, s.swDead)
 			}
+			s.newRoutingEpoch()
 		})
 	}
 }
@@ -1061,7 +1304,7 @@ func (s *Sim) recoverStep() {
 // disarmed deadlocked is never set and this is a plain field clear.
 func (s *Sim) released(p *packet, sw int) {
 	if p.deadlocked && s.rec != nil {
-		s.rec.tr.Release(s.now, p.id, int32(sw))
+		s.rec.tr.Release(s.now, p.st.PktID, int32(sw))
 		if s.rec.victim == p {
 			s.rec.victim = nil
 		}
@@ -1080,7 +1323,7 @@ func (s *Sim) abortPacket(p *packet, c, vc, sw int32) {
 	if q.empty() || q.front().pkt != p {
 		return // the head moved since observation; no longer wedged here
 	}
-	q.pop()
+	s.dequeue(q, int(sw), c)
 	s.returnCredits(c, vc)
 	s.inNetwork--
 	s.lastProgress = s.now
@@ -1091,13 +1334,13 @@ func (s *Sim) abortPacket(p *packet, c, vc, sw int32) {
 	lost := int(p.aborts) > s.rec.cfg.AbortBudget ||
 		(s.faultActive && s.swDead[srcSw])
 	if lost {
-		s.rec.tr.Aborted(s.now, p.id, sw, flits, p.aborts, true)
+		s.rec.tr.Aborted(s.now, p.st.PktID, sw, flits, p.aborts, true)
 		s.lostTotal++
 		s.inFlight--
 		s.trace(p, "DLKLOST", "switch", sw, "attempts", p.aborts)
 		return
 	}
-	s.rec.tr.Aborted(s.now, p.id, sw, flits, p.aborts, false)
+	s.rec.tr.Aborted(s.now, p.st.PktID, sw, flits, p.aborts, false)
 	p.st.Step = 0
 	p.st.RtState = 0
 	p.blockSince = -1
@@ -1185,7 +1428,7 @@ func (s *Sim) dropDeadQueues() {
 				q := &s.vcq[c*int32(vcs)+int32(vc)]
 				for !q.empty() {
 					victims = append(victims, q.front().pkt)
-					q.pop()
+					s.dequeue(q, sw, c)
 				}
 			}
 		}

@@ -62,6 +62,9 @@ type WormSim struct {
 
 	rrIn     []int
 	orderBuf []int32
+	// swSlots counts the occupied VC slots of each switch's inputs, so
+	// route and forward skip idle switches.
+	swSlots []int32
 
 	wheel     *timingWheel[wwheelEv]
 	linkDelay []int64 // per-channel wire delay in cycles
@@ -241,6 +244,7 @@ func NewWormSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate f
 	s.hostSlot = make([]int32, hosts)
 	s.hostInjected = make([]int32, hosts)
 	s.rrIn = make([]int, nSw)
+	s.swSlots = make([]int32, nSw)
 	s.chanFlits = make([]int64, nChan)
 	s.linkDelay = make([]int64, nChan)
 	for i := range s.linkDelay {
@@ -571,7 +575,7 @@ func (s *WormSim) driveHosts() {
 					s.hostCur[h] = p
 					s.hostSlot[h] = slot
 					s.hostInjected[h] = 0
-					s.slotPkt[slot] = p
+					s.claimSlot(slot, p)
 					s.inNetwork++
 					p.lastAdvance = s.now
 					break
@@ -610,6 +614,9 @@ func (s *WormSim) driveHosts() {
 func (s *WormSim) route() {
 	vcs := s.cfg.VCs
 	for sw := 0; sw < s.nSw; sw++ {
+		if s.swSlots[sw] == 0 {
+			continue
+		}
 		for _, c := range s.inChans[sw] {
 			for vc := 0; vc < vcs; vc++ {
 				slot := s.slotOfChan(c, int8(vc))
@@ -715,7 +722,7 @@ func (s *WormSim) route() {
 				s.routed[slot] = true
 				s.outSlot[slot] = bestSlot
 				s.outChan[slot] = bestChan
-				s.slotPkt[bestSlot] = p // claim downstream VC
+				s.claimSlot(bestSlot, p) // claim downstream VC
 				p.st.Step++
 				p.st.RtState = bestState
 				if bestEscape {
@@ -780,7 +787,7 @@ func (s *WormSim) forward() {
 	pf := int32(s.cfg.PacketFlits)
 	for sw := 0; sw < s.nSw; sw++ {
 		ins := s.inChans[sw]
-		if len(ins) == 0 {
+		if len(ins) == 0 || s.swSlots[sw] == 0 {
 			continue
 		}
 		// Through traffic first (round-robin), injection channels after.
@@ -873,7 +880,14 @@ func (s *WormSim) moveFlit(c, slot int32, p *wpacket, pf int32, eject bool, oc, 
 	s.lastProgress = s.now
 }
 
+// claimSlot assigns VC slot to worm p.
+func (s *WormSim) claimSlot(slot int32, p *wpacket) {
+	s.slotPkt[slot] = p
+	s.swSlots[s.chanDst[int(slot)/s.cfg.VCs]]++
+}
+
 func (s *WormSim) freeSlot(slot int32) {
+	s.swSlots[s.chanDst[int(slot)/s.cfg.VCs]]--
 	s.slotPkt[slot] = nil
 	s.routed[slot] = false
 	s.isEject[slot] = false
@@ -1062,6 +1076,7 @@ func (s *WormSim) abortWorm(p *wpacket, sw int32) {
 	}
 	for _, sl := range chain {
 		s.chainMark[sl] = false
+		s.swSlots[s.chanDst[int(sl)/s.cfg.VCs]]--
 		s.slotPkt[sl] = nil
 		s.buffered[sl] = 0
 		s.forwarded[sl] = 0
