@@ -38,7 +38,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSim(cfg, d.Graph(), rt, NewUniform(64*cfg.HostsPerSwitch), 0.05)
+	sim, err := NewSim(SimSpec{Config: cfg, Graph: d.Graph(), Router: rt, Pattern: NewUniform(64 * cfg.HostsPerSwitch), Rate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +182,14 @@ func TestFacadeSimulatorRouters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sim, err := NewSim(cfg, d.Graph(), rt, NewUniform(256), 0.02)
+		sim, err := NewSim(SimSpec{Config: cfg, Graph: d.Graph(), Router: rt, Pattern: NewUniform(256), Rate: 0.02})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res, err := sim.Run(); err != nil || res.DeliveredTotal == 0 {
 			t.Fatalf("%s: %v %v", name, res, err)
 		}
-		worm, err := NewWormSim(withWormBuf(cfg, 20), d.Graph(), rt, NewUniform(256), 0.02)
+		worm, err := NewSim(SimSpec{Wormhole: true, Config: withWormBuf(cfg, 20), Graph: d.Graph(), Router: rt, Pattern: NewUniform(256), Rate: 0.02})
 		if err != nil {
 			t.Fatal(err)
 		}

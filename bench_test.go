@@ -292,7 +292,7 @@ func BenchmarkAblation_EscapePatience(b *testing.B) {
 		for _, patience := range []int64{0, 16} {
 			cfg := benchSimConfig()
 			cfg.EscapePatienceCycles = patience
-			sim, err := NewSim(cfg, d.Graph(), rt, NewUniform(256), 0.25)
+			sim, err := NewSim(SimSpec{Config: cfg, Graph: d.Graph(), Router: rt, Pattern: NewUniform(256), Rate: 0.25})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -346,41 +346,11 @@ func run(o opts) error {
 			if err != nil {
 				return point{}, err
 			}
-			var res dsnet.SimResult
-			var runErr error
-			if o.switching == "wormhole" {
-				sim, err := dsnet.NewWormSim(cfg, g, rt, pat, rate)
-				if err != nil {
-					return point{}, err
-				}
-				if plan != nil {
-					if err := sim.SetFaultPlan(plan); err != nil {
-						return point{}, err
-					}
-				}
-				if o.recover {
-					if err := sim.SetRecovery(rec); err != nil {
-						return point{}, err
-					}
-				}
-				res, runErr = sim.Run()
-			} else {
-				sim, err := dsnet.NewSim(cfg, g, rt, pat, rate)
-				if err != nil {
-					return point{}, err
-				}
-				if plan != nil {
-					if err := sim.SetFaultPlan(plan); err != nil {
-						return point{}, err
-					}
-				}
-				if o.recover {
-					if err := sim.SetRecovery(rec); err != nil {
-						return point{}, err
-					}
-				}
-				res, runErr = sim.Run()
+			sim, err := dsnet.NewSim(spec(o, cfg, g, rt, plan, rec, dsnet.SimSpec{Pattern: pat, Rate: rate}))
+			if err != nil {
+				return point{}, err
 			}
+			res, runErr := sim.Run()
 			return point{Res: res, Watchdog: runErr != nil}, nil
 		}})
 	}
@@ -411,6 +381,17 @@ func run(o opts) error {
 		}
 	}
 	return nil
+}
+
+// spec completes a workload-only Spec with the run's switching, fabric,
+// router, fault plan and (with -recover) recovery config.
+func spec(o opts, cfg dsnet.SimConfig, g *dsnet.Graph, rt dsnet.Router, plan *dsnet.FaultPlan, rec dsnet.RecoveryConfig, sp dsnet.SimSpec) dsnet.SimSpec {
+	sp.Wormhole = o.switching == "wormhole"
+	sp.Config, sp.Graph, sp.Router, sp.Faults = cfg, g, rt, plan
+	if o.recover {
+		sp.Recovery = &rec
+	}
+	return sp
 }
 
 // runCollective replays one collective workload's message DAG to
@@ -479,41 +460,11 @@ func runCollective(o opts, cfg dsnet.SimConfig, g *dsnet.Graph, mkRouter func() 
 			// The same seed mixing as analysis.CollectiveSweep, so dsnsim reps
 			// reproduce the placements behind dsnfigs -fig collective rows.
 			replay := dsnet.CollectiveReplay(dag.Permuted(o.seed + uint64(rep)*0x9e37))
-			var res dsnet.SimResult
-			var runErr error
-			if o.switching == "wormhole" {
-				sim, err := dsnet.NewWormSimReplay(cfg, g, rt, replay)
-				if err != nil {
-					return repResult{}, err
-				}
-				if plan != nil {
-					if err := sim.SetFaultPlan(plan); err != nil {
-						return repResult{}, err
-					}
-				}
-				if o.recover {
-					if err := sim.SetRecovery(rec); err != nil {
-						return repResult{}, err
-					}
-				}
-				res, runErr = sim.Run()
-			} else {
-				sim, err := dsnet.NewSimReplay(cfg, g, rt, replay)
-				if err != nil {
-					return repResult{}, err
-				}
-				if plan != nil {
-					if err := sim.SetFaultPlan(plan); err != nil {
-						return repResult{}, err
-					}
-				}
-				if o.recover {
-					if err := sim.SetRecovery(rec); err != nil {
-						return repResult{}, err
-					}
-				}
-				res, runErr = sim.Run()
+			sim, err := dsnet.NewSim(spec(o, cfg, g, rt, plan, rec, dsnet.SimSpec{Replay: replay}))
+			if err != nil {
+				return repResult{}, err
 			}
+			res, runErr := sim.Run()
 			if runErr != nil {
 				return repResult{Res: res, Watchdog: runErr.Error()}, nil
 			}

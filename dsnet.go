@@ -109,11 +109,13 @@ type Placement = layout.Placement
 // SimConfig holds the cycle-accurate simulator parameters.
 type SimConfig = netsim.Config
 
-// Sim is one simulator instance (virtual cut-through switching).
+// Sim is one simulator instance, virtual cut-through or wormhole.
 type Sim = netsim.Sim
 
-// WormSim is the wormhole-switching simulator.
-type WormSim = netsim.WormSim
+// SimSpec describes one simulation for NewSim: switching, config,
+// graph, router, workload (pattern and rate, or a replay), fault plan,
+// recovery, monitors and cable-aware link delays.
+type SimSpec = netsim.Spec
 
 // SimResult aggregates one simulation run.
 type SimResult = netsim.Result
@@ -270,16 +272,12 @@ var (
 
 // Simulator (Section VII).
 var (
-	DefaultSimConfig     = netsim.Default
-	NewSim               = netsim.NewSim
-	NewSimReplay         = netsim.NewSimReplay
-	NewWormSimReplay     = netsim.NewWormSimReplay
-	NewSimCableAware     = netsim.NewSimCableAware
-	NewWormSim           = netsim.NewWormSim
-	NewWormSimCableAware = netsim.NewWormSimCableAware
-	NewDuatoUpDown       = netsim.NewDuatoUpDown
-	NewUpDownOnly        = netsim.NewUpDownOnly
-	NewDSNSourceRouted   = netsim.NewDSNSourceRouted
+	DefaultSimConfig = netsim.Default
+	// NewSim validates a SimSpec and builds its simulation.
+	NewSim             = netsim.New
+	NewDuatoUpDown     = netsim.NewDuatoUpDown
+	NewUpDownOnly      = netsim.NewUpDownOnly
+	NewDSNSourceRouted = netsim.NewDSNSourceRouted
 	// NewDSNSourceRoutedUnsafe drives the simulator with the BASIC
 	// variant's channel classes, which deadlock under load — it exists to
 	// demonstrate why Section V.A matters.
@@ -322,7 +320,7 @@ var (
 	// empty algo selects the collective's default algorithm.
 	GenerateCollective = collectives.Generate
 	// CollectiveReplay converts a CollectiveDAG into the Replay the
-	// simulators execute (NewSimReplay / NewWormSimReplay).
+	// simulators execute (SimSpec.Replay).
 	CollectiveReplay = collectives.ToReplay
 	// CollectiveNames lists the supported collectives.
 	CollectiveNames = collectives.Collectives
@@ -339,11 +337,6 @@ var (
 
 // NewUniform returns the uniform random traffic pattern.
 func NewUniform(hosts int) TrafficPattern { return traffic.Uniform{Hosts: hosts} }
-
-// NewHotspot returns a hotspot pattern sending fraction of traffic to hot.
-func NewHotspot(hosts, hot int, fraction float64) TrafficPattern {
-	return traffic.Hotspot{Hosts: hosts, Hot: hot, Fraction: fraction}
-}
 
 // Experiment drivers (Figures 7-10).
 var (
@@ -419,11 +412,11 @@ var (
 	CertifyRecoveryTimeline = verify.CertifyRecoveryTimeline
 )
 
-// Runtime invariant monitors (armed per run with (*Sim).SetMonitors /
-// (*WormSim).SetMonitors): packet conservation at every fault epoch,
-// per-packet hop TTL from the Theorem 1(c) routing diameter bound, and
-// head-of-line starvation. The progress watchdog is always on and
-// configurable via SimConfig.WatchdogCycles.
+// Runtime invariant monitors (armed per run with SimSpec.Monitors):
+// packet conservation at every fault epoch, per-packet hop TTL from the
+// Theorem 1(c) routing diameter bound, and head-of-line starvation. The
+// progress watchdog is always on and configurable via
+// SimConfig.WatchdogCycles.
 type (
 	SimMonitors      = netsim.Monitors
 	MonitorViolation = netsim.MonitorViolation
@@ -452,11 +445,11 @@ var (
 )
 
 // Runtime deadlock detection and recovery (armed per run with
-// (*Sim).SetRecovery / (*WormSim).SetRecovery): per-packet stall
-// detection with a confirmation pass, Disha-style abort of confirmed
-// victims onto the up*/down* escape network, and optional
-// drain-before-reconfigure at fault epochs. Disarmed or idle recovery
-// leaves runs bit-identical to an unarmed simulator.
+// SimSpec.Recovery): per-packet stall detection with a confirmation
+// pass, Disha-style abort of confirmed victims onto the up*/down*
+// escape network, and optional drain-before-reconfigure at fault
+// epochs. Disarmed or idle recovery leaves runs bit-identical to an
+// unarmed simulator.
 type (
 	RecoveryConfig  = recovery.Config
 	RecoveryTracker = recovery.Tracker

@@ -88,7 +88,7 @@ func ExampleNewSim() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := dsnet.NewSim(cfg, d.Graph(), rt, dsnet.NewUniform(256), 0.02)
+	sim, err := dsnet.NewSim(dsnet.SimSpec{Config: cfg, Graph: d.Graph(), Router: rt, Pattern: dsnet.NewUniform(256), Rate: 0.02})
 	if err != nil {
 		log.Fatal(err)
 	}

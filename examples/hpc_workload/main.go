@@ -54,7 +54,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			sim, err := dsnet.NewSim(cfg, tc.g, rt, wl.pat, wl.rate)
+			sim, err := dsnet.NewSim(dsnet.SimSpec{Config: cfg, Graph: tc.g, Router: rt, Pattern: wl.pat, Rate: wl.rate})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -74,7 +74,7 @@ func collectiveRepCells(cfg netsim.Config, g *graph.Graph, mkRouter func() (nets
 				return collectiveRep{}, err
 			}
 			replay := collectives.ToReplay(d.Permuted(seed + uint64(rep)*0x9e37))
-			sim, err := netsim.NewSimReplay(cfg, g, rt, replay)
+			sim, err := netsim.New(netsim.Spec{Config: cfg, Graph: g, Router: rt, Replay: replay})
 			if err != nil {
 				return collectiveRep{}, err
 			}

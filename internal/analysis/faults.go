@@ -217,15 +217,12 @@ func DegradationSweepCtx(ctx context.Context, r *harness.Runner, cfg netsim.Conf
 					return DegradationRow{}, err
 				}
 				pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-				sim, err := netsim.NewSim(cfg, g, rt, pat, rate)
-				if err != nil {
-					return DegradationRow{}, err
-				}
 				plan, err := netsim.RandomLinkFaults(g, frac, cfg.WarmupCycles, cfg.MeasureCycles/2, seed)
 				if err != nil {
 					return DegradationRow{}, err
 				}
-				if err := sim.SetFaultPlan(plan); err != nil {
+				sim, err := netsim.New(netsim.Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: rate, Faults: plan})
+				if err != nil {
 					return DegradationRow{}, err
 				}
 				res, runErr := sim.Run()

@@ -93,7 +93,7 @@ func latencyCells(cfg netsim.Config, g *graph.Graph, name, patternName string, r
 			if err != nil {
 				return netsim.Result{}, err
 			}
-			sim, err := netsim.NewSim(cfg, g, rt, pat, rate)
+			sim, err := netsim.New(netsim.Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: rate})
 			if err != nil {
 				return netsim.Result{}, err
 			}
@@ -218,7 +218,7 @@ func BalanceComparison(cfg netsim.Config, n int, rate float64) ([]BalanceResult,
 		name string
 		rt   netsim.Router
 	}{{"custom-dsn", custom}, {"updown", updown}} {
-		sim, err := netsim.NewSim(cfg, d.Graph(), sch.rt, pat, rate)
+		sim, err := netsim.New(netsim.Spec{Config: cfg, Graph: d.Graph(), Router: sch.rt, Pattern: pat, Rate: rate})
 		if err != nil {
 			return nil, err
 		}

@@ -173,7 +173,7 @@ func MultipathSweepCtx(ctx context.Context, r *harness.Runner, cfg netsim.Config
 						if err != nil {
 							return MultipathRow{}, err
 						}
-						sim, err := netsim.NewSimReplay(cfg, g, rt, collectives.ToReplay(dag))
+						sim, err := netsim.New(netsim.Spec{Config: cfg, Graph: g, Router: rt, Replay: collectives.ToReplay(dag)})
 						if err != nil {
 							return MultipathRow{}, err
 						}
@@ -192,18 +192,15 @@ func MultipathSweepCtx(ctx context.Context, r *harness.Runner, cfg netsim.Config
 						if err != nil {
 							return MultipathRow{}, err
 						}
-						sim, err := netsim.NewSim(cfg, g, rt, pat, rate)
+						sp := netsim.Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: rate}
+						if workload == "fault" {
+							if sp.Faults, err = netsim.RandomLinkFaults(g, frac, cfg.WarmupCycles, cfg.MeasureCycles/2, seed); err != nil {
+								return MultipathRow{}, err
+							}
+						}
+						sim, err := netsim.New(sp)
 						if err != nil {
 							return MultipathRow{}, err
-						}
-						if workload == "fault" {
-							plan, err := netsim.RandomLinkFaults(g, frac, cfg.WarmupCycles, cfg.MeasureCycles/2, seed)
-							if err != nil {
-								return MultipathRow{}, err
-							}
-							if err := sim.SetFaultPlan(plan); err != nil {
-								return MultipathRow{}, err
-							}
 						}
 						res, runErr := sim.Run()
 						fillMultipathRow(&row, res, runErr != nil)

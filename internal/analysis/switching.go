@@ -38,12 +38,12 @@ func SwitchingComparison(cfg netsim.Config, g *graph.Graph, patternName string, 
 	var out []SwitchingPoint
 	for _, rate := range rates {
 		pt := SwitchingPoint{Rate: rate}
-		sim, err := netsim.NewSim(vctCfg, g, rt, pat, rate)
+		sim, err := netsim.New(netsim.Spec{Config: vctCfg, Graph: g, Router: rt, Pattern: pat, Rate: rate})
 		if err != nil {
 			return nil, err
 		}
 		pt.VCT, _ = sim.Run() // a watchdog error still yields a result
-		worm, err := netsim.NewWormSim(wormCfg, g, rt, pat, rate)
+		worm, err := netsim.New(netsim.Spec{Wormhole: true, Config: wormCfg, Graph: g, Router: rt, Pattern: pat, Rate: rate})
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ func SaturationThroughput(cfg netsim.Config, g *graph.Graph, rt netsim.Router, p
 		return ThroughputRow{}, err
 	}
 	probe := func(rate float64) (netsim.Result, bool, error) {
-		sim, err := netsim.NewSim(cfg, g, rt, pat, rate)
+		sim, err := netsim.New(netsim.Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: rate})
 		if err != nil {
 			return netsim.Result{}, false, err
 		}

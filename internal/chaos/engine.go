@@ -51,7 +51,7 @@ type Options struct {
 	// flags it.
 	ReconvergeFrac float64
 
-	// Recover arms runtime deadlock detection & recovery (SetRecovery)
+	// Recover arms runtime deadlock detection & recovery (Spec.Recovery)
 	// with the Recovery config on every run, and adds the engine-level
 	// recovery-accounting check: a run that ends with confirmed
 	// deadlocks neither recovered nor written off as lost trips the
@@ -151,14 +151,6 @@ func New(t Target, opt Options) (*Engine, error) {
 	return &Engine{T: t, Opt: opt}, nil
 }
 
-// sim is the part of both engines the chaos driver needs.
-type sim interface {
-	SetFaultPlan(*netsim.FaultPlan) error
-	SetMonitors(netsim.Monitors) error
-	SetRecovery(recovery.Config) error
-	Run() (netsim.Result, error)
-}
-
 // RunPlan executes one monitored simulation under the given plan (nil
 // or empty = fault-free) and reports the violated monitor, if any. The
 // returned error is reserved for configuration problems; monitor trips
@@ -169,34 +161,21 @@ func (e *Engine) RunPlan(plan *netsim.FaultPlan) (netsim.Result, string, string,
 	if err != nil {
 		return netsim.Result{}, "", "", err
 	}
-	pat := traffic.Uniform{Hosts: e.T.Graph.N() * e.Opt.Cfg.HostsPerSwitch}
-	var s sim
-	if e.Opt.Wormhole {
-		s, err = netsim.NewWormSim(e.Opt.Cfg, e.T.Graph, rt, pat, e.Opt.Rate)
-	} else {
-		s, err = netsim.NewSim(e.Opt.Cfg, e.T.Graph, rt, pat, e.Opt.Rate)
-	}
-	if err != nil {
-		return netsim.Result{}, "", "", err
-	}
-	if plan != nil && len(plan.Events) > 0 {
-		if err := s.SetFaultPlan(plan); err != nil {
-			return netsim.Result{}, "", "", err
-		}
+	sp := netsim.Spec{
+		Wormhole: e.Opt.Wormhole,
+		Config:   e.Opt.Cfg,
+		Graph:    e.T.Graph,
+		Router:   rt,
+		Pattern:  traffic.Uniform{Hosts: e.T.Graph.N() * e.Opt.Cfg.HostsPerSwitch},
+		Rate:     e.Opt.Rate,
+		Faults:   plan,
+		Monitors: netsim.Monitors{Conservation: true, MaxHOLWaitCycles: e.Opt.HOLBound, HopTTL: int32(max(e.T.HopTTL, 0))},
 	}
 	if e.Opt.Recover {
-		if err := s.SetRecovery(e.Opt.Recovery); err != nil {
-			return netsim.Result{}, "", "", err
-		}
+		sp.Recovery = &e.Opt.Recovery
 	}
-	mon := netsim.Monitors{
-		Conservation:     true,
-		MaxHOLWaitCycles: e.Opt.HOLBound,
-	}
-	if e.T.HopTTL > 0 {
-		mon.HopTTL = int32(e.T.HopTTL)
-	}
-	if err := s.SetMonitors(mon); err != nil {
+	s, err := netsim.New(sp)
+	if err != nil {
 		return netsim.Result{}, "", "", err
 	}
 	res, runErr := s.Run()

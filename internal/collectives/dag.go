@@ -8,7 +8,7 @@
 // every message it depends on has been *delivered*, so the cost of the
 // workload is a dependency-ordered makespan rather than the steady-state
 // latency of the open-loop traffic patterns in internal/traffic. The
-// closed-loop replay engine in internal/netsim (SetReplay) executes a
+// closed-loop replay engine in internal/netsim (Spec.Replay) executes a
 // DAG cycle-accurately and reports the makespan with a per-phase
 // breakdown.
 package collectives

@@ -3,7 +3,7 @@ package collectives
 import "dsnet/internal/netsim"
 
 // ToReplay converts a collective DAG into the closed-loop workload the
-// simulators execute (netsim.SetReplay). The conversion is 1:1 — message
+// simulators execute (netsim.Spec.Replay). The conversion is 1:1 — message
 // IDs are positional in both representations, so dependency indices
 // carry over unchanged.
 func ToReplay(d *DAG) *netsim.Replay {

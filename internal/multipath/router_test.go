@@ -207,14 +207,9 @@ func runVCT(t *testing.T, sel Selector, pat traffic.Pattern, rate float64, plan 
 	if pat == nil {
 		pat = traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
 	}
-	sim, err := netsim.NewSim(cfg, g, r, pat, rate)
+	sim, err := netsim.New(netsim.Spec{Config: cfg, Graph: g, Router: r, Pattern: pat, Rate: rate, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plan != nil {
-		if err := sim.SetFaultPlan(plan); err != nil {
-			t.Fatal(err)
-		}
 	}
 	res, err := sim.Run()
 	if err != nil {

@@ -20,14 +20,16 @@ func TestCableAwareValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := traffic.Uniform{Hosts: 256}
-	if _, err := NewSimCableAware(shortCfg(), g, rt, pat, 0.05, l, 5); err == nil {
+	sp := Spec{Config: shortCfg(), Graph: g, Router: rt, Pattern: pat, Rate: 0.05, Layout: l, NsPerMetre: 5}
+	if _, err := New(sp); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 	l64, err := layout.New(64, layout.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSimCableAware(shortCfg(), g, rt, pat, 0.05, l64, -1); err == nil {
+	sp.Layout, sp.NsPerMetre = l64, -1
+	if _, err := New(sp); err == nil {
 		t.Fatal("negative propagation accepted")
 	}
 }
@@ -51,12 +53,11 @@ func TestCableAwarePenalizesLongCables(t *testing.T) {
 			t.Fatal(err)
 		}
 		pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-		var sim *Sim
+		sp := Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.03}
 		if cableAware {
-			sim, err = NewSimCableAware(cfg, g, rt, pat, 0.03, l, nsPerM)
-		} else {
-			sim, err = NewSim(cfg, g, rt, pat, 0.03)
+			sp.Layout, sp.NsPerMetre = l, nsPerM
 		}
+		sim, err := New(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +104,7 @@ func TestCableAwareDSNBeatsRandomGapNarrows(t *testing.T) {
 			t.Fatal(err)
 		}
 		pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-		sim, err := NewSimCableAware(cfg, g, rt, pat, 0.03, l, 5)
+		sim, err := New(Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.03, Layout: l, NsPerMetre: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,8 @@ func TestWormCableAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := traffic.Uniform{Hosts: 256}
-	sim, err := NewWormSimCableAware(cfg, g, rt, pat, 0.03, l, 5)
+	sp := Spec{Wormhole: true, Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.03, Layout: l, NsPerMetre: 5}
+	sim, err := New(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,8 @@ func TestWormCableAware(t *testing.T) {
 	if res.Saturated || res.DeliveredMeasured == 0 {
 		t.Fatalf("cable-aware wormhole: %v", res)
 	}
-	if _, err := NewWormSimCableAware(cfg, g, rt, pat, 0.03, l, -1); err == nil {
+	sp.NsPerMetre = -1
+	if _, err := New(sp); err == nil {
 		t.Fatal("negative propagation accepted")
 	}
 }

@@ -44,10 +44,10 @@ type Config struct {
 	DrainCycles   int64 // extra cycles to let measured packets finish
 
 	// Fault-tolerance transport parameters, consulted only when a
-	// FaultPlan is attached (SetFaultPlan) and only once the first
+	// FaultPlan is attached (Spec.Faults) and only once the first
 	// failure has actually occurred, so a zero-fault plan is
 	// bit-identical to a plain run. Zero values select the built-in
-	// defaults at SetFaultPlan time, keeping hand-rolled Configs valid.
+	// defaults when the plan is attached, keeping hand-rolled Configs valid.
 	//
 	// RetryBudget is how many times the source reinjects a packet whose
 	// flits were lost to a fault or that timed out head-blocked; once

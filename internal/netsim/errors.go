@@ -45,7 +45,7 @@ const (
 )
 
 // MonitorViolation is the structured error a runtime invariant monitor
-// (SetMonitors) returns from Run when the simulated fabric breaks one of
+// (Spec.Monitors) returns from Run when the simulated fabric breaks one of
 // the paper-bound invariants: packet conservation, the 3p+r hop bound,
 // or the head-of-line starvation limit. The partially accumulated Result
 // is still returned alongside it.
@@ -75,7 +75,7 @@ func ViolatedMonitor(err error) (string, bool) {
 }
 
 // Monitors configures the runtime invariant monitors of a simulation
-// (SetMonitors). Each monitor aborts the run with a *MonitorViolation
+// (Spec.Monitors). Each monitor aborts the run with a *MonitorViolation
 // the first time its invariant breaks; the zero value disables all of
 // them. The always-on progress watchdog (Config.WatchdogCycles) is
 // separate and needs no arming here.

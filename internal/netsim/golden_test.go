@@ -25,58 +25,16 @@ type goldenCase struct {
 	run  func(t *testing.T) (netsim.Result, error)
 }
 
-// goldenSpec describes one run: the fabric, the router, the engine, the
-// load and everything that may be armed on top.
-type goldenSpec struct {
-	g        *graph.Graph
-	rt       netsim.Router
-	cfg      netsim.Config
-	rate     float64
-	wormhole bool
-	replay   *netsim.Replay // closed-loop run (VCT only)
-	layout   *layout.Layout // cable-aware link delays (VCT only)
-	plan     *netsim.FaultPlan
-	mon      *netsim.Monitors
-	rec      *recovery.Config
-}
-
-func (sp goldenSpec) run(t *testing.T) (netsim.Result, error) {
+// runSpec builds and runs one golden Spec; an open-loop Spec without a
+// Pattern gets uniform traffic.
+func runSpec(t *testing.T, sp netsim.Spec) (netsim.Result, error) {
 	t.Helper()
-	var s interface {
-		SetFaultPlan(*netsim.FaultPlan) error
-		SetMonitors(netsim.Monitors) error
-		SetRecovery(recovery.Config) error
-		Run() (netsim.Result, error)
+	if sp.Pattern == nil && sp.Rate > 0 {
+		sp.Pattern = traffic.Uniform{Hosts: sp.Graph.N() * sp.Config.HostsPerSwitch}
 	}
-	var err error
-	pat := traffic.Uniform{Hosts: sp.g.N() * sp.cfg.HostsPerSwitch}
-	switch {
-	case sp.replay != nil:
-		s, err = netsim.NewSimReplay(sp.cfg, sp.g, sp.rt, sp.replay)
-	case sp.wormhole:
-		s, err = netsim.NewWormSim(sp.cfg, sp.g, sp.rt, pat, sp.rate)
-	case sp.layout != nil:
-		s, err = netsim.NewSimCableAware(sp.cfg, sp.g, sp.rt, pat, sp.rate, sp.layout, 5)
-	default:
-		s, err = netsim.NewSim(sp.cfg, sp.g, sp.rt, pat, sp.rate)
-	}
+	s, err := netsim.New(sp)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sp.plan != nil {
-		if err := s.SetFaultPlan(sp.plan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sp.mon != nil {
-		if err := s.SetMonitors(*sp.mon); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sp.rec != nil {
-		if err := s.SetRecovery(*sp.rec); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return s.Run()
 }
@@ -144,11 +102,11 @@ func goldenCases() []goldenCase {
 	return []goldenCase{
 		{"duato-dsn64-saturated", "ef7530a3edb0485feff33d16814593ebec99f0e506903ee7c5ad54b2eecb3c80", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
-			return goldenSpec{g: g, rt: duato(t, g), cfg: goldenCfg(1, 1000, 2000, 1000), rate: 0.25}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: goldenCfg(1, 1000, 2000, 1000), Rate: 0.25})
 		}},
 		{"duato-torus64-moderate", "42c3f147189d235641e198936c88b343de9d003b0e657b9329f7efef5e22edd2", func(t *testing.T) (netsim.Result, error) {
 			g := goldenTorus(t, 8)
-			return goldenSpec{g: g, rt: duato(t, g), cfg: goldenCfg(2, 1000, 3000, 2000), rate: 0.03}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: goldenCfg(2, 1000, 3000, 2000), Rate: 0.03})
 		}},
 		{"duato-dsne60-parallel-edges", "0bc235c6955ef32d4b2af84a59b4cba717dea2cb850f7748d36f87545e08e5c2", func(t *testing.T) (netsim.Result, error) {
 			d, err := core.NewE(60)
@@ -156,7 +114,7 @@ func goldenCases() []goldenCase {
 				t.Fatal(err)
 			}
 			g := d.Graph()
-			return goldenSpec{g: g, rt: duato(t, g), cfg: goldenCfg(3, 1000, 2000, 1000), rate: 0.25}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: goldenCfg(3, 1000, 2000, 1000), Rate: 0.25})
 		}},
 		{"updown-only-dsn64", "a9b1e1b286cf7aee0cd251c42ffc0e820d9ff2309d752eafdd310c7db08cdb8e", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
@@ -164,7 +122,7 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenSpec{g: g, rt: rt, cfg: goldenCfg(4, 1000, 2000, 2000), rate: 0.06}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: rt, Config: goldenCfg(4, 1000, 2000, 2000), Rate: 0.06})
 		}},
 		{"source-routed-dsne60-pinned", "dd5880b38f3d143a2e6f1e16bdba4f6473d80901a94ba463e8bffb8898cdc0be", func(t *testing.T) (netsim.Result, error) {
 			d, err := core.NewE(60)
@@ -172,8 +130,8 @@ func goldenCases() []goldenCase {
 				t.Fatal(err)
 			}
 			rt := sourceRouted(t, d)
-			return goldenSpec{g: d.Graph(), rt: rt, cfg: goldenCfg(5, 1000, 2000, 2000), rate: 0.08,
-				mon: &netsim.Monitors{Conservation: true, HopTTL: int32(rt.HopBound()), MaxHOLWaitCycles: 16384}}.run(t)
+			return runSpec(t, netsim.Spec{Graph: d.Graph(), Router: rt, Config: goldenCfg(5, 1000, 2000, 2000), Rate: 0.08,
+				Monitors: netsim.Monitors{Conservation: true, HopTTL: int32(rt.HopBound()), MaxHOLWaitCycles: 16384}})
 		}},
 		{"valiant-torus64", "b8379bcf819663d155e3441c935da3ea3372ad9e63cd66c4f81926d89e760d63", func(t *testing.T) (netsim.Result, error) {
 			g := goldenTorus(t, 8)
@@ -181,7 +139,7 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenSpec{g: g, rt: rt, cfg: goldenCfg(6, 1000, 2000, 2000), rate: 0.05}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: rt, Config: goldenCfg(6, 1000, 2000, 2000), Rate: 0.05})
 		}},
 		{"multipath-adaptive-torus36-link-faults", "0084c6342b1745da03dc6faa2e0cf1fb7281190d3e0fc87110cb4640077cfaf1", func(t *testing.T) (netsim.Result, error) {
 			g := goldenTorus(t, 6)
@@ -190,8 +148,8 @@ func goldenCases() []goldenCase {
 				t.Fatal(err)
 			}
 			plan := netsim.NewFaultPlan(netsim.LinkDown(1500, 3), netsim.LinkDown(2200, 17), netsim.LinkUp(3000, 3))
-			return goldenSpec{g: g, rt: rt, cfg: goldenCfg(7, 1000, 2000, 3000), rate: 0.06, plan: plan,
-				mon: &netsim.Monitors{Conservation: true}}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: rt, Config: goldenCfg(7, 1000, 2000, 3000), Rate: 0.06, Faults: plan,
+				Monitors: netsim.Monitors{Conservation: true}})
 		}},
 		{"duato-dsn64-link-flap-repair", "63117e647533c72a5fada20d5c892571363371bc14452cdcd5fc12b728d5bb0e", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
@@ -200,14 +158,14 @@ func goldenCases() []goldenCase {
 				netsim.LinkDown(2100, 5), netsim.LinkUp(2300, 5),
 				netsim.LinkDown(2600, 40), netsim.LinkUp(3400, 40),
 			)
-			return goldenSpec{g: g, rt: duato(t, g), cfg: goldenCfg(8, 1000, 2500, 2000), rate: 0.2, plan: plan,
-				mon: &netsim.Monitors{Conservation: true, MaxHOLWaitCycles: 16384}}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: goldenCfg(8, 1000, 2500, 2000), Rate: 0.2, Faults: plan,
+				Monitors: netsim.Monitors{Conservation: true, MaxHOLWaitCycles: 16384}})
 		}},
 		{"duato-dsn64-switch-death", "eff568721787f66a43cf2db8c79632593c5612de106ee7a1b13bcef100945256", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
 			plan := netsim.NewFaultPlan(netsim.SwitchDown(1500, 9), netsim.LinkDown(2500, 70))
-			return goldenSpec{g: g, rt: duato(t, g), cfg: goldenCfg(9, 1000, 2500, 3000), rate: 0.15, plan: plan,
-				mon: &netsim.Monitors{Conservation: true}}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: goldenCfg(9, 1000, 2500, 3000), Rate: 0.15, Faults: plan,
+				Monitors: netsim.Monitors{Conservation: true}})
 		}},
 		{"cable-aware-duato-dsn64", "7b23b87200a331930d59d10370930f4358a1e3fcc0ff0040a6d043b720299c5a", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
@@ -215,7 +173,7 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenSpec{g: g, rt: duato(t, g), cfg: goldenCfg(10, 1000, 2000, 1000), rate: 0.08, layout: l}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: goldenCfg(10, 1000, 2000, 1000), Rate: 0.08, Layout: l, NsPerMetre: 5})
 		}},
 		{"source-routed-dsnv36-recovery-live-swap", "e231542dc0fe1719e180108fa035e1c5c44f4b7ad0c55ae5977a6271864bf6b9", func(t *testing.T) (netsim.Result, error) {
 			d, err := core.NewV(36)
@@ -224,9 +182,9 @@ func goldenCases() []goldenCase {
 			}
 			rt := sourceRouted(t, d)
 			plan := netsim.NewFaultPlan(netsim.LinkDown(1500, 5), netsim.LinkDown(2500, 11), netsim.LinkUp(4000, 5))
-			return goldenSpec{g: d.Graph(), rt: rt, cfg: goldenCfg(11, 1000, 3000, 8000), rate: 0.04, plan: plan,
-				mon: &netsim.Monitors{Conservation: true, HopTTL: int32(rt.HopBound()), MaxHOLWaitCycles: 16384},
-				rec: replayRecovery(false)}.run(t)
+			return runSpec(t, netsim.Spec{Graph: d.Graph(), Router: rt, Config: goldenCfg(11, 1000, 3000, 8000), Rate: 0.04, Faults: plan,
+				Monitors: netsim.Monitors{Conservation: true, HopTTL: int32(rt.HopBound()), MaxHOLWaitCycles: 16384},
+				Recovery: replayRecovery(false)})
 		}},
 		{"source-routed-dsnv36-recovery-drain", "f311b8a688ba7e434250329c3d5018dd70430abd57586cc5f1f3c0b8ed1702f5", func(t *testing.T) (netsim.Result, error) {
 			d, err := core.NewV(36)
@@ -235,14 +193,14 @@ func goldenCases() []goldenCase {
 			}
 			rt := sourceRouted(t, d)
 			plan := netsim.NewFaultPlan(netsim.LinkDown(1500, 5), netsim.SwitchDown(2500, 20), netsim.LinkUp(4000, 5))
-			return goldenSpec{g: d.Graph(), rt: rt, cfg: goldenCfg(12, 1000, 3000, 8000), rate: 0.04, plan: plan,
-				mon: &netsim.Monitors{Conservation: true}, rec: replayRecovery(true)}.run(t)
+			return runSpec(t, netsim.Spec{Graph: d.Graph(), Router: rt, Config: goldenCfg(12, 1000, 3000, 8000), Rate: 0.04, Faults: plan,
+				Monitors: netsim.Monitors{Conservation: true}, Recovery: replayRecovery(true)})
 		}},
 		{"duato-dsn64-recovery-drain", "b85bd73e8d3a4f7d37a4425872e749fcb2f548ab723edbb3dcfda038be1cf8cc", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
 			plan := netsim.NewFaultPlan(netsim.LinkDown(1500, 12), netsim.LinkUp(2600, 12), netsim.SwitchDown(3000, 33))
-			return goldenSpec{g: g, rt: duato(t, g), cfg: goldenCfg(13, 1000, 2500, 4000), rate: 0.07, plan: plan,
-				mon: &netsim.Monitors{Conservation: true}, rec: replayRecovery(true)}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: goldenCfg(13, 1000, 2500, 4000), Rate: 0.07, Faults: plan,
+				Monitors: netsim.Monitors{Conservation: true}, Recovery: replayRecovery(true)})
 		}},
 		{"unsafe-basic-dsn36-deadlock-recovery", "20fe502176539091be92fbde2742226e1c843dfdecb1b135e879b4fd1afc59b7", func(t *testing.T) (netsim.Result, error) {
 			d := goldenDSN(t, 36)
@@ -250,8 +208,8 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenSpec{g: d.Graph(), rt: rt, cfg: goldenCfg(14, 1000, 3000, 6000), rate: 0.3,
-				mon: &netsim.Monitors{Conservation: true, MaxHOLWaitCycles: 16384}, rec: replayRecovery(false)}.run(t)
+			return runSpec(t, netsim.Spec{Graph: d.Graph(), Router: rt, Config: goldenCfg(14, 1000, 3000, 6000), Rate: 0.3,
+				Monitors: netsim.Monitors{Conservation: true, MaxHOLWaitCycles: 16384}, Recovery: replayRecovery(false)})
 		}},
 		{"hol-wait-monitor-trip", "592e2d8c304f35b6e31560c80d264ff9f6da67033129226eabc1f99e1c370993", func(t *testing.T) (netsim.Result, error) {
 			d := goldenDSN(t, 36)
@@ -259,8 +217,8 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenSpec{g: d.Graph(), rt: rt, cfg: goldenCfg(18, 1000, 3000, 6000), rate: 0.3,
-				mon: &netsim.Monitors{MaxHOLWaitCycles: 1500}}.run(t)
+			return runSpec(t, netsim.Spec{Graph: d.Graph(), Router: rt, Config: goldenCfg(18, 1000, 3000, 6000), Rate: 0.3,
+				Monitors: netsim.Monitors{MaxHOLWaitCycles: 1500}})
 		}},
 		{"hop-ttl-monitor-trip", "41f8f578ee9417c28de656750b4713333074740279873ac761d49197e35d5e8d", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
@@ -268,8 +226,8 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return goldenSpec{g: g, rt: rt, cfg: goldenCfg(19, 1000, 2000, 1000), rate: 0.05,
-				mon: &netsim.Monitors{HopTTL: int32(rt.HopBound()) - 2}}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: rt, Config: goldenCfg(19, 1000, 2000, 1000), Rate: 0.05,
+				Monitors: netsim.Monitors{HopTTL: int32(rt.HopBound()) - 2}})
 		}},
 		{"allreduce-ring-dsn64-replay", "94d1b371a67d2b39c91860fac71636f87215d3d4d8add38a0188e1ebe46448e8", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
@@ -279,13 +237,13 @@ func goldenCases() []goldenCase {
 				t.Fatal(err)
 			}
 			dag.Hosts = g.N() * cfg.HostsPerSwitch
-			return goldenSpec{g: g, rt: duato(t, g), cfg: cfg, replay: collectives.ToReplay(dag.Permuted(15))}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: cfg, Replay: collectives.ToReplay(dag.Permuted(15))})
 		}},
 		{"wormhole-duato-dsn64-saturated", "261969d78bc14bb010a5563196e5a77eb84f83ce61a80f237cfe56aa1d9af3e1", func(t *testing.T) (netsim.Result, error) {
 			g := goldenDSN(t, 64).Graph()
 			cfg := goldenCfg(16, 1000, 2000, 1000)
 			cfg.BufFlitsPerVC = 8
-			return goldenSpec{g: g, rt: duato(t, g), cfg: cfg, rate: 0.1, wormhole: true}.run(t)
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: cfg, Rate: 0.1, Wormhole: true})
 		}},
 		{"wormhole-source-routed-dsnv36-recovery-drain", "3a864573bae6be627628bb2e00b0f37ca584ab616f36f7f929c484465171baf8", func(t *testing.T) (netsim.Result, error) {
 			d, err := core.NewV(36)
@@ -293,8 +251,60 @@ func goldenCases() []goldenCase {
 				t.Fatal(err)
 			}
 			plan := netsim.NewFaultPlan(netsim.LinkDown(1500, 5), netsim.LinkUp(3000, 5))
-			return goldenSpec{g: d.Graph(), rt: sourceRouted(t, d), cfg: goldenCfg(17, 1000, 3000, 8000), rate: 0.03,
-				wormhole: true, plan: plan, mon: &netsim.Monitors{Conservation: true}, rec: replayRecovery(true)}.run(t)
+			return runSpec(t, netsim.Spec{Graph: d.Graph(), Router: sourceRouted(t, d), Config: goldenCfg(17, 1000, 3000, 8000), Rate: 0.03,
+				Wormhole: true, Faults: plan, Monitors: netsim.Monitors{Conservation: true}, Recovery: replayRecovery(true)})
+		}},
+		{"wormhole-duato-dsn64-switch-death", "f20c4786036e69e1b341199f78d754df74b512b2aeb81c129287225763576192", func(t *testing.T) (netsim.Result, error) {
+			g := goldenDSN(t, 64).Graph()
+			cfg := goldenCfg(20, 1000, 2500, 3000)
+			cfg.BufFlitsPerVC = 8
+			plan := netsim.NewFaultPlan(netsim.SwitchDown(1500, 9), netsim.LinkDown(2500, 70))
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: cfg, Rate: 0.08, Wormhole: true, Faults: plan,
+				Monitors: netsim.Monitors{Conservation: true}})
+		}},
+		{"wormhole-allreduce-ring-dsn64-replay", "d844ab90f6239fef141c78a633f414388a09ae4b7ce8bef2218f31e09c869311", func(t *testing.T) (netsim.Result, error) {
+			g := goldenDSN(t, 64).Graph()
+			cfg := goldenCfg(21, 0, 1, 0)
+			cfg.BufFlitsPerVC = 8
+			dag, err := collectives.Generate("allreduce", "ring", 32, 33)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dag.Hosts = g.N() * cfg.HostsPerSwitch
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: cfg, Wormhole: true, Replay: collectives.ToReplay(dag.Permuted(21))})
+		}},
+		{"wormhole-cable-aware-duato-dsn64", "5a7f87a1aa8312d9c8c8f2e94164b340b0492aed14ec95191d33ba1756b49da0", func(t *testing.T) (netsim.Result, error) {
+			g := goldenDSN(t, 64).Graph()
+			l, err := layout.New(64, layout.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := goldenCfg(22, 1000, 2000, 1000)
+			cfg.BufFlitsPerVC = 8
+			return runSpec(t, netsim.Spec{Graph: g, Router: duato(t, g), Config: cfg, Rate: 0.06, Wormhole: true, Layout: l, NsPerMetre: 5})
+		}},
+		{"wormhole-hol-wait-monitor-trip", "b050838434383254322810c0cdf53e46e99fc689409684870fb5f8ae5e97e834", func(t *testing.T) (netsim.Result, error) {
+			d := goldenDSN(t, 36)
+			rt, err := netsim.NewDSNSourceRoutedUnsafe(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := goldenCfg(23, 1000, 3000, 6000)
+			cfg.BufFlitsPerVC = 8
+			return runSpec(t, netsim.Spec{Graph: d.Graph(), Router: rt, Config: cfg, Rate: 0.3, Wormhole: true,
+				Monitors: netsim.Monitors{MaxHOLWaitCycles: 1500}})
+		}},
+		{"wormhole-multipath-adaptive-torus36-link-faults", "2861c4a486f098a6c9c34af57bf0ba22834501a6091c8791d25aa1b0feb970a9", func(t *testing.T) (netsim.Result, error) {
+			g := goldenTorus(t, 6)
+			rt, err := multipath.New(g, multipath.Config{K: 4, VCs: netsim.Default().VCs, Selector: multipath.SelectorAdaptive, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := goldenCfg(24, 1000, 2000, 3000)
+			cfg.BufFlitsPerVC = 8
+			plan := netsim.NewFaultPlan(netsim.LinkDown(1500, 3), netsim.LinkDown(2200, 17), netsim.LinkUp(3000, 3))
+			return runSpec(t, netsim.Spec{Graph: g, Router: rt, Config: cfg, Rate: 0.05, Wormhole: true, Faults: plan,
+				Monitors: netsim.Monitors{Conservation: true}})
 		}},
 	}
 }

@@ -54,7 +54,7 @@ type Result struct {
 	PathSpread float64
 
 	// Closed-loop replay metrics, meaningful only when the run executed a
-	// Replay (SetReplay). MakespanCycles/NS is the delivery time of the
+	// Replay. MakespanCycles/NS is the delivery time of the
 	// workload's last message; PhaseEndNS[i] is the delivery time of the
 	// last message of phase i (-CycleNS if the phase delivered nothing).
 	// ReplayCompleted is false when messages were permanently lost (fault
@@ -66,7 +66,7 @@ type Result struct {
 	MakespanNS      float64
 	PhaseEndNS      []float64
 
-	// Runtime deadlock detection & recovery books (SetRecovery); all
+	// Runtime deadlock detection & recovery books (Spec.Recovery); all
 	// zero (and DeadlockEvents nil) when recovery is disarmed or never
 	// fired, so arming recovery on a clean run leaves the Result
 	// byte-identical. Every confirmed deadlock resolves exactly one way:
@@ -114,6 +114,14 @@ func (s *Sim) result() Result {
 		GeneratedTotal:       s.generatedTotal,
 		InFlightAtEnd:        s.inFlight,
 		MaxHOLWaitCycles:     s.maxHOLWait,
+		Dropped:              s.droppedTotal,
+		Lost:                 s.lostTotal,
+		Retried:              s.retriedTotal,
+		TimedOut:             s.timedOutTotal,
+		Rerouted:             s.reroutedPkts,
+		DeliveredPostFault:   s.delPostFault,
+		InjectedFlits:        s.flitsInjected,
+		EjectedFlits:         s.flitsEjected,
 		ChannelFlits:         s.chanFlits[:2*s.g.M()],
 	}
 	if s.grantsInWindow > 0 {
@@ -125,20 +133,10 @@ func (s *Sim) result() Result {
 		r.AvgLatencyNS = float64(s.latencySum) / float64(s.delMeasured) * cyc
 		r.AvgHops = float64(s.hopsSum) / float64(s.delMeasured)
 		sorted := append([]int64(nil), s.latencies...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		idx := int(float64(len(sorted)) * 0.99)
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		r.P99LatencyNS = float64(sorted[idx]) * cyc
+		sortInt64s(sorted)
+		r.P99LatencyNS = float64(sorted[percentileIdx(len(sorted), 0.99)]) * cyc
 		r.MaxLatencyNS = float64(sorted[len(sorted)-1]) * cyc
 	}
-	r.Dropped = s.droppedTotal
-	r.Lost = s.lostTotal
-	r.Retried = s.retriedTotal
-	r.TimedOut = s.timedOutTotal
-	r.Rerouted = s.reroutedPkts
-	r.DeliveredPostFault = s.delPostFault
 	if len(s.postFaultLats) > 0 {
 		sorted := append([]int64(nil), s.postFaultLats...)
 		sortInt64s(sorted)
@@ -149,7 +147,7 @@ func (s *Sim) result() Result {
 		undelivered := s.genMeasured - s.delMeasured
 		r.Saturated = float64(undelivered) > 0.02*float64(s.genMeasured)
 	}
-	if s.watchdogTripped {
+	if s.watchdogTripped && s.rules.watchdogSaturates {
 		r.Saturated = true
 	}
 	if s.rep != nil {

@@ -28,24 +28,20 @@ func TestMonitorsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-	s, err := NewSim(cfg, g, rt, pat, 0.05)
+	sp := Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.05}
+	for _, m := range []Monitors{{HopTTL: -1}, {MaxHOLWaitCycles: -1}} {
+		sp.Monitors = m
+		if _, err := New(sp); err == nil {
+			t.Fatalf("monitors %+v accepted", m)
+		}
+	}
+	sp.Monitors = Monitors{Conservation: true}
+	s, err := New(sp)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetMonitors(Monitors{HopTTL: -1}); err == nil {
-		t.Fatal("negative HopTTL accepted")
-	}
-	if err := s.SetMonitors(Monitors{MaxHOLWaitCycles: -1}); err == nil {
-		t.Fatal("negative MaxHOLWaitCycles accepted")
-	}
-	if err := s.SetMonitors(Monitors{Conservation: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.SetMonitors(Monitors{}); err == nil {
-		t.Fatal("SetMonitors accepted after Run")
 	}
 }
 
@@ -59,16 +55,13 @@ func TestMonitorsCleanRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-	s, err := NewSim(cfg, g, rt, pat, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mon := Monitors{
 		HopTTL:           int32(rt.HopBound()),
 		MaxHOLWaitCycles: 100000,
 		Conservation:     true,
 	}
-	if err := s.SetMonitors(mon); err != nil {
+	s, err := New(Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.03, Monitors: mon})
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Run()
@@ -93,11 +86,8 @@ func TestHopTTLMonitorTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-	s, err := NewSim(cfg, g, rt, pat, 0.05)
+	s, err := New(Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.05, Monitors: Monitors{HopTTL: 1}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetMonitors(Monitors{HopTTL: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_, runErr := s.Run()
@@ -127,11 +117,8 @@ func TestHOLWaitMonitorTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-	s, err := NewSim(cfg, g, rt, pat, 0.40)
+	s, err := New(Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.40, Monitors: Monitors{MaxHOLWaitCycles: 1}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetMonitors(Monitors{MaxHOLWaitCycles: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_, runErr := s.Run()
@@ -153,12 +140,9 @@ func TestWormholeMonitors(t *testing.T) {
 	}
 	pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
 
-	clean, err := NewWormSim(cfg, g, rt, pat, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mon := Monitors{HopTTL: int32(rt.HopBound()), MaxHOLWaitCycles: 100000, Conservation: true}
-	if err := clean.SetMonitors(mon); err != nil {
+	clean, err := New(Spec{Wormhole: true, Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.03, Monitors: mon})
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := clean.Run()
@@ -169,21 +153,14 @@ func TestWormholeMonitors(t *testing.T) {
 		t.Fatal("nothing delivered")
 	}
 
-	ttl, err := NewWormSim(cfg, g, rt, pat, 0.05)
+	ttl, err := New(Spec{Wormhole: true, Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.05, Monitors: Monitors{HopTTL: 1}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ttl.SetMonitors(Monitors{HopTTL: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, runErr := ttl.Run(); runErr == nil {
 		t.Fatal("1-hop TTL did not trip in the wormhole engine")
 	} else if mon, ok := ViolatedMonitor(runErr); !ok || mon != MonitorHopTTL {
 		t.Fatalf("ViolatedMonitor(%v) = %q, %v; want %q", runErr, mon, ok, MonitorHopTTL)
-	}
-
-	if err := ttl.SetMonitors(Monitors{}); err == nil {
-		t.Fatal("wormhole SetMonitors accepted after Run")
 	}
 }
 

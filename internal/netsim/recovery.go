@@ -10,9 +10,9 @@ import (
 // recState is the per-run recovery machinery shared by both engines:
 // the armed config, the counters/event tracker, the up*/down* escape
 // tables for reinjected packets, and the drain-epoch latch. It exists
-// only after SetRecovery; a nil recState means recovery is disarmed and
-// every hook below is skipped, which is what keeps zero-fault runs
-// bit-identical (see DESIGN.md).
+// only when Spec.Recovery is set; a nil recState means recovery is
+// disarmed and every hook below is skipped, which is what keeps
+// zero-fault runs bit-identical (see DESIGN.md).
 type recState struct {
 	cfg recovery.Config
 	tr  *recovery.Tracker

@@ -42,27 +42,16 @@ func TestWormholeDetourDeadlockRecovered(t *testing.T) {
 	g := d.Graph()
 	cfg := reproCfg(1)
 	pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-	s, err := NewWormSim(cfg, g, rt, pat, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetFaultPlan(NewFaultPlan(LinkDown(7623, 26))); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetMonitors(Monitors{
-		Conservation:     true,
-		MaxHOLWaitCycles: 16384,
-		HopTTL:           int32(d.RoutingDiameterBound()),
-	}); err != nil {
-		t.Fatal(err)
-	}
 	// The chaos replay tuning: act well before the 16384-cycle hol-wait
 	// bound. The wormhole confirmation pass is structural (wormWedged),
 	// so aggressive thresholds cannot abort merely-congested worms.
 	rc := recovery.Default()
 	rc.StallThresholdCycles = 1024
 	rc.ConfirmCycles = 256
-	if err := s.SetRecovery(rc); err != nil {
+	s, err := New(Spec{Wormhole: true, Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.02,
+		Faults: NewFaultPlan(LinkDown(7623, 26)), Recovery: &rc,
+		Monitors: Monitors{Conservation: true, MaxHOLWaitCycles: 16384, HopTTL: int32(d.RoutingDiameterBound())}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Run()
@@ -102,17 +91,12 @@ func TestVCTDeadlockRecovered(t *testing.T) {
 	cfg := reproCfg(1)
 	cfg.DrainCycles = 60000 // the wedge forms in the measure window already
 	pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-	s, err := NewSim(cfg, g, rt, pat, 0.30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetMonitors(Monitors{Conservation: true, MaxHOLWaitCycles: 16384}); err != nil {
-		t.Fatal(err)
-	}
 	rc := recovery.Default()
 	rc.StallThresholdCycles = 1024
 	rc.ConfirmCycles = 256
-	if err := s.SetRecovery(rc); err != nil {
+	s, err := New(Spec{Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.30, Recovery: &rc,
+		Monitors: Monitors{Conservation: true, MaxHOLWaitCycles: 16384}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Run()
@@ -154,22 +138,14 @@ func TestRecoveryZeroFaultBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var s interface {
-				SetRecovery(recovery.Config) error
-				Run() (Result, error)
+			sp := Spec{Wormhole: wormhole, Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.02}
+			if armed {
+				rc := recovery.Default()
+				sp.Recovery = &rc
 			}
-			if wormhole {
-				s, err = NewWormSim(cfg, g, rt, pat, 0.02)
-			} else {
-				s, err = NewSim(cfg, g, rt, pat, 0.02)
-			}
+			s, err := New(sp)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if armed {
-				if err := s.SetRecovery(recovery.Default()); err != nil {
-					t.Fatal(err)
-				}
 			}
 			res, err := s.Run()
 			if err != nil {
@@ -213,25 +189,17 @@ func TestRecoveryFlitConservation(t *testing.T) {
 		cfg.DrainCycles = 30000
 		cfg.WatchdogCycles = 20000
 		pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-		s, err := NewWormSim(cfg, g, rt, pat, 0.02)
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := NewFaultPlan(
 			LinkDown(1500, int(seed)%g.M()),
 			LinkDown(2500, (7*int(seed))%g.M()),
 			SwitchDown(3000, int(seed)%g.N()),
 		)
-		if err := s.SetFaultPlan(plan); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetMonitors(Monitors{Conservation: true}); err != nil {
-			t.Fatal(err)
-		}
 		rc := recovery.Default()
 		rc.StallThresholdCycles = 1024
 		rc.ConfirmCycles = 256
-		if err := s.SetRecovery(rc); err != nil {
+		s, err := New(Spec{Wormhole: true, Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.02,
+			Faults: plan, Monitors: Monitors{Conservation: true}, Recovery: &rc})
+		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := s.Run()
@@ -278,26 +246,6 @@ func TestRecoveryDrainEpoch(t *testing.T) {
 		cfg.DrainCycles = 30000
 		cfg.WatchdogCycles = 20000
 		pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-		var s interface {
-			SetFaultPlan(*FaultPlan) error
-			SetMonitors(Monitors) error
-			SetRecovery(recovery.Config) error
-			Run() (Result, error)
-		}
-		if wormhole {
-			s, err = NewWormSim(cfg, g, rt, pat, 0.02)
-		} else {
-			s, err = NewSim(cfg, g, rt, pat, 0.02)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetFaultPlan(NewFaultPlan(LinkDown(2000, 5))); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetMonitors(Monitors{Conservation: true}); err != nil {
-			t.Fatal(err)
-		}
 		// Drain completion depends on the detector: with the table swap
 		// deferred, worms whose only route crosses the dead link park
 		// until recovery aborts them, so the thresholds must beat the
@@ -306,7 +254,9 @@ func TestRecoveryDrainEpoch(t *testing.T) {
 		rc.StallThresholdCycles = 1024
 		rc.ConfirmCycles = 256
 		rc.DrainOnFault = true
-		if err := s.SetRecovery(rc); err != nil {
+		s, err := New(Spec{Wormhole: wormhole, Config: cfg, Graph: g, Router: rt, Pattern: pat, Rate: 0.02,
+			Faults: NewFaultPlan(LinkDown(2000, 5)), Monitors: Monitors{Conservation: true}, Recovery: &rc})
+		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := s.Run()

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"dsnet/internal/graph"
-)
+import "fmt"
 
 // This file implements the closed-loop replay mode shared by the VCT and
 // wormhole engines: instead of the open-loop Bernoulli injection process,
@@ -197,27 +193,6 @@ func (rs *replayState) fill(r *Result, cyc float64) {
 	}
 }
 
-// SetReplay switches the simulation into closed-loop replay mode: the
-// offered-load injection process is disabled and the workload's messages
-// inject as their dependencies deliver. Must be called before Run.
-// Composes with SetFaultPlan: packets lost to faults retry through the
-// transport layer, and a workload whose messages become undeliverable
-// ends via the progress watchdog with ReplayCompleted == false.
-func (s *Sim) SetReplay(r *Replay) error {
-	if s.now != 0 || s.nextID != 0 {
-		return fmt.Errorf("netsim: SetReplay after Run started")
-	}
-	if r == nil {
-		return fmt.Errorf("netsim: nil replay")
-	}
-	rep, err := newReplayState(r, s.cfg.PacketFlits, s.hosts)
-	if err != nil {
-		return err
-	}
-	s.rep = rep
-	return nil
-}
-
 // releaseReady converts the messages whose dependencies are all
 // delivered into packets on their source-host queues.
 func (s *Sim) releaseReady() {
@@ -226,99 +201,12 @@ func (s *Sim) releaseReady() {
 		s.rep.ready = s.rep.ready[1:]
 		m := &s.rep.r.Messages[mi]
 		for k := int32(0); k < s.rep.packets[mi]; k++ {
-			p := &packet{
-				srcHost:    m.SrcHost,
-				dstHost:    m.DstHost,
-				genCycle:   s.now,
-				measured:   true,
-				blockSince: -1,
-				msg:        mi,
-			}
-			p.st.PktID = s.nextID
-			s.nextID++
-			p.st.SrcSw = m.SrcHost / int32(s.cfg.HostsPerSwitch)
+			p := s.newPacket(m.SrcHost, mi, true)
+			p.dstHost = m.DstHost
 			p.st.DstSw = m.DstHost / int32(s.cfg.HostsPerSwitch)
-			s.hostQ[m.SrcHost] = append(s.hostQ[m.SrcHost], p)
+			s.admit(p)
 			s.trace(p, "GEN", "src", m.SrcHost, "dst", p.dstHost, "msg", mi)
-			s.generatedTotal++
-			s.genMeasured++
-			s.inFlight++
 		}
 		s.lastProgress = s.now
 	}
-}
-
-// NewSimReplay builds a VCT simulation executing the closed-loop
-// workload r on graph g under router rt (no open-loop traffic).
-func NewSimReplay(cfg Config, g *graph.Graph, rt Router, r *Replay) (*Sim, error) {
-	s, err := NewSim(cfg, g, rt, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.SetReplay(r); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// SetReplay switches the wormhole simulation into closed-loop replay
-// mode; see (*Sim).SetReplay. The wormhole engine has no drop/retry
-// transport, so under a FaultPlan a workload that loses its path freezes
-// and ends via the progress watchdog; use the VCT engine for
-// collectives-under-failure experiments.
-func (s *WormSim) SetReplay(r *Replay) error {
-	if s.now != 0 || s.nextID != 0 {
-		return fmt.Errorf("netsim: SetReplay after Run started")
-	}
-	if r == nil {
-		return fmt.Errorf("netsim: nil replay")
-	}
-	rep, err := newReplayState(r, s.cfg.PacketFlits, s.hosts)
-	if err != nil {
-		return err
-	}
-	s.rep = rep
-	return nil
-}
-
-// releaseReady is the wormhole counterpart of (*Sim).releaseReady.
-func (s *WormSim) releaseReady() {
-	for len(s.rep.ready) > 0 {
-		mi := s.rep.ready[0]
-		s.rep.ready = s.rep.ready[1:]
-		m := &s.rep.r.Messages[mi]
-		for k := int32(0); k < s.rep.packets[mi]; k++ {
-			p := &wpacket{
-				id:         s.nextID,
-				srcHost:    m.SrcHost,
-				dstHost:    m.DstHost,
-				genCycle:   s.now,
-				measured:   true,
-				blockSince: -1,
-				msg:        mi,
-			}
-			s.nextID++
-			p.st.PktID = p.id
-			p.st.SrcSw = m.SrcHost / int32(s.cfg.HostsPerSwitch)
-			p.st.DstSw = m.DstHost / int32(s.cfg.HostsPerSwitch)
-			s.hostQ[m.SrcHost] = append(s.hostQ[m.SrcHost], p)
-			s.generatedTotal++
-			s.genMeasured++
-			s.inFlight++
-		}
-		s.lastProgress = s.now
-	}
-}
-
-// NewWormSimReplay builds a wormhole simulation executing the
-// closed-loop workload r on graph g under router rt.
-func NewWormSimReplay(cfg Config, g *graph.Graph, rt Router, r *Replay) (*WormSim, error) {
-	s, err := NewWormSim(cfg, g, rt, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.SetReplay(r); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -37,19 +37,13 @@ const EdgeAny int32 = 0
 // zero value means "any".
 func (c Candidate) pinnedEdge() int32 { return c.Edge - 1 }
 
-// PinEdge returns the Candidate restricted to one physical edge.
-func (c Candidate) PinEdge(edge int) Candidate {
-	c.Edge = int32(edge) + 1
-	return c
-}
-
 // PacketState is the routing-relevant state of an in-flight packet.
 type PacketState struct {
 	SrcSw   int32 // switch the packet was injected at
 	DstSw   int32 // switch of the destination host
 	Step    int32 // switch-to-switch hops taken so far
-	PktID   int64 // unique per packet; randomized routers derandomize on it
 	RtState uint8 // router-specific state, updated from Candidate.NewState
+	PktID   int64 // unique per packet; randomized routers derandomize on it
 }
 
 // descended interprets RtState for the up*/down*-based routers.

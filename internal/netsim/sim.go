@@ -1,164 +1,77 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand/v2"
 
 	"dsnet/internal/graph"
+	"dsnet/internal/layout"
 	"dsnet/internal/recovery"
 	"dsnet/internal/traffic"
 )
 
-// packet is one in-flight message. Its id is st.PktID.
-type packet struct {
-	srcHost  int32
-	dstHost  int32
-	st       PacketState
-	genCycle int64
-	measured bool // generated inside the measurement window
-	// blockSince is the cycle this packet's head first failed to get an
-	// adaptive grant, or -1. It drives the escape-patience policy.
-	blockSince int64
-	// attempts counts source reinjections after fault drops; bounded by
-	// Config.RetryBudget.
-	attempts int32
-	// rerouted marks packets that took at least one fault-detour grant,
-	// counted once per packet in Result.Rerouted.
-	rerouted bool
-	// msg is the index of the Replay message this packet carries a part
-	// of; meaningful only in closed-loop replay mode (see replay.go).
-	msg int32
-	// Deadlock-recovery state (SetRecovery; see recovery.go). suspectAt
-	// is the cycle the head became a deadlock suspect (0 = unsuspected:
-	// suspicion requires now >= StallThresholdCycles > 0, so cycle 0 can
-	// never legitimately be a suspicion time); deadlocked marks a
-	// confirmed participant; recovering pins the packet to the escape
-	// network after an abort; aborts counts teardowns against
-	// recovery.Config.AbortBudget (distinct from fault-transport
-	// attempts).
-	suspectAt  int64
-	deadlocked bool
-	recovering bool
-	aborts     int32
-	// The allocator's memory of the packet as a queue head (DESIGN.md
-	// §8), cleared when it enters a queue. hops is 1 + the offset of the
-	// header of its cached routes in Sim.hops (0 = not cached). A head
-	// whose grant failed is parked until cycle wake, or until its
-	// switch's credit version moves past ver, whichever is first.
-	wake int64
-	ver  uint32
-	hops int32
-}
+// Spec describes one simulation: the switching mode, the fabric and its
+// routing function, the workload, and everything armed on top of it.
+// New is the only way to build a Sim from it.
+type Spec struct {
+	// Wormhole selects wormhole switching: flit-granular credits and
+	// buffers that may be smaller than a packet, so a blocked packet
+	// stalls as a worm across several switches. The zero value is
+	// virtual cut-through.
+	Wormhole bool
+	Config   Config
+	Graph    *graph.Graph
+	Router   Router
 
-// vcEntry is a packet queued in an input VC buffer.
-type vcEntry struct {
-	pkt        *packet
-	routableAt int64 // header arrival + pipeline delay
-}
+	// The workload is either open-loop traffic, Pattern at Rate
+	// flits/cycle/host (a zero Rate needs no Pattern), or a closed-loop
+	// Replay, never both.
+	Pattern traffic.Pattern
+	Rate    float64
+	Replay  *Replay
 
-// vcQueue is a FIFO of packets sharing one input VC buffer.
-type vcQueue struct {
-	entries []vcEntry
-	head    int
-}
+	// Faults is a live fault schedule. Failed channels stop granting;
+	// under VCT, flits in flight on a dying link (or buffered at a dying
+	// switch) are dropped and the transport layer retries them from the
+	// source with bounded exponential backoff until Config.RetryBudget is
+	// exhausted. Wormhole faults are masking-only (see wormhole.go). A
+	// plan with no events leaves the run bit-identical to a plain one.
+	Faults *FaultPlan
+	// Recovery arms runtime deadlock detection and progressive recovery
+	// (see package recovery and DESIGN.md). It is inert until a stall is
+	// confirmed: a run that never confirms a deadlock is bit-identical to
+	// an unarmed one.
+	Recovery *recovery.Config
+	// Monitors arms the runtime invariant monitors. They are passive: a
+	// run that trips none is bit-identical to an unmonitored one.
+	Monitors Monitors
 
-func (q *vcQueue) empty() bool { return q.head >= len(q.entries) }
-
-func (q *vcQueue) front() *vcEntry { return &q.entries[q.head] }
-
-func (q *vcQueue) push(e vcEntry) { q.entries = append(q.entries, e) }
-
-func (q *vcQueue) pop() {
-	q.head++
-	if q.head >= len(q.entries) {
-		q.entries = q.entries[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.entries) {
-		n := copy(q.entries, q.entries[q.head:])
-		q.entries = q.entries[:n]
-		q.head = 0
-	}
-}
-
-// hop is a run of resolved routing options of a queued head: the
-// Candidates toward one output on VCs vc..vc+nvc-1 that share their
-// flags and next state, with the output channel looked up for the
-// current routing epoch.
-type hop struct {
-	ch    int32 // output channel, -1 when no live channel leads there
-	vc    int8
-	nvc   uint8
-	flags uint8
-	state uint8 // Candidate.NewState
-}
-
-const (
-	hopEscape = 1 << iota
-	hopDetour
-	// hopParallel marks an unpinned hop whose channel has parallel
-	// twins: findOutChan picks among them by busy state at grant time.
-	hopParallel
-	// hopHeader marks the entry that opens a head's segment in Sim.hops;
-	// its ch is the owning queue's index. The segment runs to the next
-	// header.
-	hopHeader
-)
-
-// Deferred mutations are scheduled on a timing wheel: a ring of per-cycle
-// slots whose size exceeds the maximum scheduling horizon (packet length
-// plus the longest link delay), so every event in slot now%len fires now.
-// This supports heterogeneous per-channel link delays, which plain FIFO
-// queues cannot.
-type wheelEv struct {
-	kind  uint8 // evArrive, evCredit, evDeliver
-	vcIdx int32
-	amt   int32
-	pkt   *packet
-}
-
-const (
-	evArrive = iota
-	evCredit
-	evDeliver
-	// evRetry reinjects a fault-dropped packet at its source host after
-	// its backoff expires.
-	evRetry
-)
-
-type timingWheel[E any] struct {
-	slots [][]E
-}
-
-func newTimingWheel[E any](horizon int64) *timingWheel[E] {
-	return &timingWheel[E]{slots: make([][]E, horizon+1)}
-}
-
-func (w *timingWheel[E]) schedule(now, at int64, e E) {
-	if at <= now || at-now >= int64(len(w.slots)) {
-		panic("netsim: event outside the timing-wheel horizon")
-	}
-	idx := at % int64(len(w.slots))
-	w.slots[idx] = append(w.slots[idx], e)
-}
-
-// drain returns the events due at now and clears the slot.
-func (w *timingWheel[E]) drain(now int64) []E {
-	idx := now % int64(len(w.slots))
-	evs := w.slots[idx]
-	w.slots[idx] = w.slots[idx][:0]
-	return evs
+	// Layout, when set, derives each inter-switch link delay from the
+	// physical cable length of the Section VI.B floorplan at NsPerMetre
+	// of propagation (typically 5 ns/m) instead of the paper's constant
+	// 20 ns, so topologies with longer cables pay for them in simulated
+	// latency too. Host links keep Config.LinkDelayCycles.
+	Layout     *layout.Layout
+	NsPerMetre float64
 }
 
 // Sim is a single simulation instance: one topology, one routing
-// function, one traffic pattern, one injection rate.
+// function, one workload, under one switching mode. The shell here owns
+// the hosts, the workload, fault epochs, monitors, recovery books and
+// the Result; a switching core (vct.go, wormhole.go) moves the packets.
 type Sim struct {
 	cfg     Config
 	g       *graph.Graph
 	rt      Router
 	pattern traffic.Pattern
-	rate    float64 // offered load, flits/cycle/host
+	rate    float64
 	rng     *rand.Rand
+	rules   rules
+	eng     engine
+	tracer  io.Writer // Config.Trace where the rules allow it
 
 	nSw   int
 	hosts int
@@ -166,103 +79,80 @@ type Sim struct {
 	// Directed channels: edge e yields channels 2e (U->V) and 2e+1
 	// (V->U); injection channel of host h is 2M + h. inChans lists a
 	// switch's through-traffic channels first and injection channels
-	// last; thruCount marks the boundary. The allocator serves
-	// through-traffic with strict priority over injection, the standard
-	// router policy that keeps the network stable past saturation.
+	// last; thruCount marks the boundary. Both cores serve through-traffic
+	// with strict priority over injection, the standard router policy
+	// that keeps the network stable past saturation.
 	nChan     int
 	chanDst   []int32 // destination switch of each channel
 	inChans   [][]int32
 	thruCount []int
-	credits   []int32 // [chan*VCs+vc], held at the channel source
-	vcq       []vcQueue
-	inBusy    []int64 // input port streaming until (per channel)
-	outBusy   []int64 // output port streaming until (per channel)
-	hostBusy  []int64 // host NIC streaming until (per host)
-	ejBusy    []int64 // ejection port busy until (per host)
-
-	chanFlits []int64 // flits forwarded per channel in the window
-
-	hostQ [][]*packet // per-host unbounded injection queues
-
-	rrIn []int // per-switch round-robin input pointer
-	rrVC []int // per-channel round-robin VC pointer
-
-	scratch []Candidate // reusable candidate buffer
-
-	// Event-driven allocation state (DESIGN.md §8). swQueued and
-	// chQueued count the packets queued at each switch's inputs and at
-	// each input channel, so allocate skips idle switches and channels.
-	// credVer is bumped on every credit returned to one of a switch's
-	// outputs and on grants onto parallel channels; a parked head whose
-	// switch's version moved wakes. hops is the arena of cached head
-	// routes, emptied at every routing epoch.
-	swQueued []int32
-	chQueued []int32
-	credVer  []uint32
-	parallel []bool // per channel: another edge joins the same two switches
-	hops     []hop
-	fresh    []hop // routes of a head that has none cached
-
-	wheel *timingWheel[wheelEv]
-
-	// linkDelay holds the per-channel wire delay in cycles (indexable by
-	// directed channel); all entries default to cfg.LinkDelayCycles and
-	// NewSimCableAware derives them from physical cable lengths.
+	// linkDelay holds the per-channel wire delay in cycles; maxDelay is
+	// its largest value. Both default to Config.LinkDelayCycles; a Spec
+	// Layout derives the inter-switch ones from cable lengths.
 	linkDelay []int64
 	maxDelay  int64
+	credits   []int32 // [chan*VCs+vc], buffer space seen by the channel's sender
+	chanFlits []int64 // flits forwarded per channel in the window
+	hostQ     [][]*packet
+	rrIn      []int       // per-switch round-robin input pointer
+	scratch   []Candidate // reusable candidate buffer
 
-	// Fault-injection state. The death masks are always allocated (all
-	// false without a plan) so the hot paths stay branch-light; the
-	// transport machinery (timeouts, retries) only arms once the first
-	// failure fires, keeping zero-fault runs bit-identical.
-	plan         *FaultPlan
-	planIdx      int
-	edgeDead     []bool // per edge
-	swDead       []bool // per switch
-	chanDead     []bool // per directed channel, derived from the masks
-	faultActive  bool   // at least one failure has occurred
-	firstFault   int64  // cycle of the first failure, -1 before
-	retryBudget  int
-	retryBackoff int64
-	faultTimeout int64
+	wheel *timingWheel
 
-	// rep holds the closed-loop replay state (SetReplay); nil in open-loop
-	// runs, whose behavior is untouched.
+	// Fault state. The death masks are always allocated (all false
+	// without a plan) so the hot paths stay branch-light. repaired lists
+	// the channels the last fault epoch brought back.
+	plan        *FaultPlan
+	planIdx     int
+	edgeDead    []bool // per edge
+	swDead      []bool // per switch
+	chanDead    []bool // per directed channel, derived from the masks
+	repaired    []int32
+	faultActive bool  // at least one failure has occurred
+	firstFault  int64 // cycle of the first failure, -1 before
+
+	// rep holds the closed-loop replay state; nil in open-loop runs.
 	rep *replayState
 
 	// flows holds per-flow reorder/path-spread accounting, non-nil only
 	// when the router implements PathIndexer (multipath source routing).
 	flows *flowAcct
 
-	// rec holds the armed deadlock-recovery machinery (SetRecovery); nil
-	// means disarmed and every recovery hook is skipped. inNetwork counts
-	// packets that have left their host NIC and not yet been delivered,
-	// dropped, or aborted — the emptiness condition for drain epochs.
-	// It is maintained unconditionally (it is pure bookkeeping).
+	// rec holds the armed deadlock-recovery machinery; nil means disarmed
+	// and every recovery hook is skipped. inNetwork counts packets that
+	// have left their host queue and not yet been delivered, dropped, or
+	// aborted — the emptiness condition for drain epochs.
 	rec       *recState
 	inNetwork int64
 
-	// mon holds the armed runtime invariant monitors (SetMonitors);
-	// violation records the first trip, which aborts Run at the end of
-	// the cycle. maxHOLWait tracks the largest observed head-of-line
-	// wait for Result.MaxHOLWaitCycles (always on; purely passive).
+	// mon holds the armed runtime invariant monitors; violation records
+	// the first trip, which aborts Run at the end of the cycle.
+	// maxHOLWait tracks the largest observed head-of-line wait for
+	// Result.MaxHOLWaitCycles (always on; purely passive).
 	mon        Monitors
 	violation  *MonitorViolation
 	maxHOLWait int64
 
-	now          int64
-	nextID       int64
-	inFlight     int64
-	lastProgress int64
+	now             int64
+	nextID          int64
+	inFlight        int64
+	lastProgress    int64
+	watchdogTripped bool
 
-	// fault accumulators
+	// fault accumulators (VCT transport; wormhole keeps only lostTotal and
+	// reroutedPkts)
 	droppedTotal  int64 // drop events (flit loss, timeouts), pre-retry
-	lostTotal     int64 // packets permanently lost (budget exhausted)
+	lostTotal     int64 // packets permanently lost
 	retriedTotal  int64 // source reinjections
 	timedOutTotal int64 // of droppedTotal, head-of-line timeout drops
 	reroutedPkts  int64 // packets that took >= 1 fault-detour grant
 	delPostFault  int64 // measured deliveries generated at/after firstFault
 	postFaultLats []int64
+
+	// flit books (wormhole): every injected flit is ejected, aborted, or
+	// resident
+	flitsInjected int64
+	flitsEjected  int64
 
 	// measurement accumulators
 	genMeasured       int64
@@ -271,33 +161,230 @@ type Sim struct {
 	hopsSum           int64 // switch-to-switch hops, over delMeasured
 	latencies         []int64
 	flitsInWindow     int64 // flits delivered during the window (any packet)
-	grantsInWindow    int64 // switch grants during the window
+	grantsInWindow    int64 // switch grants during the window (VCT)
 	escGrantsInWindow int64 // of those, escape-channel grants
 	deliveredTotal    int64
 	generatedTotal    int64
-	stalledCycles     int64
-	watchdogTripped   bool
 }
 
-// NewSim builds a simulation of graph g driven by router rt, traffic
-// pattern p and an offered load of rate flits/cycle/host.
-func NewSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float64) (*Sim, error) {
-	if err := cfg.Validate(); err != nil {
+// engine is a switching core behind the shell. Run calls the first four
+// methods once per cycle, in this order (recoverStep only with recovery
+// armed); the rest fire at the end of a run or at epochs.
+type engine interface {
+	processEvents() // fire this cycle's timing-wheel events
+	driveHosts()    // stream host queues into the switches
+	allocate()      // route and move packets through the switches
+	recoverStep()   // deadlock detection and abort (recovery armed)
+	finalRecovery() // abort the confirmed backlog at the end of a run
+	// faultEpoch reacts to new death masks, before the router hears of
+	// them; routingEpoch follows every change of the router's tables.
+	faultEpoch()
+	routingEpoch()
+	// auditFlits checks flit conservation where the core keeps flit books.
+	auditFlits()
+}
+
+// rules are the per-switching behaviours that shape output bytes. Each
+// is read in one place; DESIGN.md §9 lists them and the two flagged as
+// divergences for the next engine-version bump.
+type rules struct {
+	stream uint64 // PCG stream of the injection RNG
+	// failStop is wormhole admission: every live or dead host draws, and
+	// a packet with either end on a dead switch is numbered, then
+	// discarded. Without it (VCT) hosts of dead switches skip their draw
+	// and packets to dead switches are admitted, to be dropped later.
+	failStop bool
+	// trace sends the packet lifecycle to Config.Trace.
+	trace bool
+	// watchdogSaturates forces Result.Saturated when the watchdog trips.
+	watchdogSaturates bool
+	// postFault keeps the latencies of packets generated after the first
+	// failure (Result.PostFault*).
+	postFault bool
+	// conservation is the conservation monitor's Detail format over
+	// (generated, delivered, lost, in-flight).
+	conservation string
+}
+
+var (
+	vctRules = rules{stream: 0x5ca1ab1e, trace: true, watchdogSaturates: true, postFault: true,
+		conservation: "generated %d != delivered %d + lost %d + in-flight %d"}
+	wormRules = rules{stream: 0x7ea11e77, failStop: true,
+		conservation: "generated %[1]d != delivered %[2]d + in-flight %[4]d + lost %[3]d"}
+)
+
+// packet is one in-flight message: a whole packet under VCT, a worm
+// under wormhole switching. Its id is st.PktID.
+type packet struct {
+	srcHost  int32
+	dstHost  int32
+	st       PacketState
+	genCycle int64
+	// blockSince is the cycle this packet's head first failed to get an
+	// adaptive grant, or -1. It drives the escape-patience policy.
+	blockSince int64
+	// suspectAt is the cycle the packet became a deadlock suspect (0 =
+	// unsuspected: suspicion requires now >= StallThresholdCycles > 0, so
+	// cycle 0 can never legitimately be a suspicion time).
+	suspectAt int64
+	// The VCT allocator's memory of the packet as a queue head (DESIGN.md
+	// §8), cleared when it enters a queue. hops is 1 + the offset of the
+	// header of its cached routes in vct.hops (0 = not cached). A head
+	// whose grant failed is parked until cycle wake, or until its
+	// switch's credit version moves past ver, whichever is first.
+	wake int64
+	ver  uint32
+	hops int32
+	// Wormhole recovery state: lastAdvance is the last cycle any flit of
+	// the worm moved or a route was claimed (the stall clock); scan
+	// dedupes the multi-slot chain during the detection sweep; injected
+	// counts flits the host has streamed so far (the teardown quantum).
+	lastAdvance int64
+	scan        int64
+	injected    int32
+	// attempts counts VCT source reinjections after fault drops; bounded
+	// by Config.RetryBudget.
+	attempts int32
+	// msg is the index of the Replay message this packet carries a part
+	// of; -1 in open-loop runs.
+	msg int32
+	// aborts counts recovery teardowns against recovery.Config.AbortBudget
+	// (distinct from fault-transport attempts).
+	aborts   int32
+	measured bool // generated inside the measurement window
+	// rerouted marks packets that took at least one fault-detour grant,
+	// counted once per packet in Result.Rerouted.
+	rerouted bool
+	// deadlocked marks a confirmed deadlock participant; recovering pins
+	// the packet to the escape network after an abort.
+	deadlocked bool
+	recovering bool
+	// escLocked implements the conservative Duato rule for wormhole: once
+	// a worm enters the escape network it stays there until delivery.
+	// (VCT can safely bounce back to adaptive channels because whole
+	// packets are buffered; a worm stretched across switches cannot.)
+	escLocked bool
+}
+
+// Deferred mutations are scheduled on a timing wheel: a ring of per-cycle
+// slots whose size exceeds the maximum scheduling horizon, so every event
+// in slot now%len fires now. This supports heterogeneous per-channel link
+// delays, which plain FIFO queues cannot. Each core sizes its own wheel;
+// the size fixes the order in which whole-wheel scans meet events.
+type wheelEv struct {
+	kind  uint8 // evArrive, evCredit, evDeliver, evRetry
+	vcIdx int32
+	// amt is the credit amount (VCT) or, on a wormhole arrival, 1 for the
+	// head flit.
+	amt int32
+	pkt *packet
+}
+
+const (
+	evArrive = iota
+	evCredit
+	evDeliver
+	// evRetry reinjects a fault-dropped packet at its source host after
+	// its backoff expires (VCT).
+	evRetry
+)
+
+type timingWheel struct {
+	slots [][]wheelEv
+}
+
+func newTimingWheel(horizon int64) *timingWheel {
+	return &timingWheel{slots: make([][]wheelEv, horizon+1)}
+}
+
+func (w *timingWheel) schedule(now, at int64, e wheelEv) {
+	if at <= now || at-now >= int64(len(w.slots)) {
+		panic("netsim: event outside the timing-wheel horizon")
+	}
+	idx := at % int64(len(w.slots))
+	w.slots[idx] = append(w.slots[idx], e)
+}
+
+// drain returns the events due at now and clears the slot.
+func (w *timingWheel) drain(now int64) []wheelEv {
+	idx := now % int64(len(w.slots))
+	evs := w.slots[idx]
+	w.slots[idx] = w.slots[idx][:0]
+	return evs
+}
+
+// New validates sp and builds its simulation.
+func New(sp Spec) (*Sim, error) {
+	cfg, g := sp.Config, sp.Graph
+	validate := cfg.Validate
+	if sp.Wormhole {
+		validate = cfg.ValidateWormhole
+	}
+	switch err := validate(); {
+	case err != nil:
+		return nil, err
+	case g == nil:
+		return nil, errors.New("netsim: Spec has no Graph")
+	case sp.Router == nil:
+		return nil, errors.New("netsim: Spec has no Router")
+	case sp.Rate < 0 || sp.Rate > 1:
+		return nil, fmt.Errorf("netsim: offered load %g flits/cycle/host outside [0,1]", sp.Rate)
+	case sp.Replay != nil && (sp.Pattern != nil || sp.Rate > 0):
+		return nil, errors.New("netsim: a Replay run takes no Pattern or Rate")
+	case sp.Rate > 0 && sp.Pattern == nil:
+		return nil, fmt.Errorf("netsim: offered load %g with no traffic Pattern", sp.Rate)
+	case sp.Layout != nil && sp.Layout.N != g.N():
+		return nil, fmt.Errorf("netsim: graph has %d switches, layout %d", g.N(), sp.Layout.N)
+	case sp.NsPerMetre < 0:
+		return nil, fmt.Errorf("netsim: negative propagation %g ns/m", sp.NsPerMetre)
+	}
+	if err := sp.Monitors.validate(); err != nil {
 		return nil, err
 	}
-	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("netsim: offered load %g flits/cycle/host outside [0,1]", rate)
+	if sp.Faults != nil {
+		if err := sp.Faults.Validate(g); err != nil {
+			return nil, err
+		}
+	}
+	r := vctRules
+	if sp.Wormhole {
+		r = wormRules
 	}
 	nSw := g.N()
 	hosts := nSw * cfg.HostsPerSwitch
 	nChan := 2*g.M() + hosts
 	s := &Sim{
-		cfg: cfg, g: g, rt: rt, pattern: p, rate: rate,
-		rng:   rand.New(rand.NewPCG(cfg.Seed, 0x5ca1ab1e)),
-		nSw:   nSw,
-		hosts: hosts,
-		nChan: nChan,
-		flows: newFlowAcct(rt),
+		cfg: cfg, g: g, rt: sp.Router, pattern: sp.Pattern, rate: sp.Rate,
+		rng:        rand.New(rand.NewPCG(cfg.Seed, r.stream)),
+		rules:      r,
+		nSw:        nSw,
+		hosts:      hosts,
+		nChan:      nChan,
+		flows:      newFlowAcct(sp.Router),
+		plan:       sp.Faults,
+		mon:        sp.Monitors,
+		firstFault: -1,
+	}
+	if r.trace {
+		s.tracer = cfg.Trace
+	}
+	if sp.Replay != nil {
+		rep, err := newReplayState(sp.Replay, cfg.PacketFlits, hosts)
+		if err != nil {
+			return nil, err
+		}
+		s.rep = rep
+	}
+	if sp.Recovery != nil {
+		c := sp.Recovery.Normalize()
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		esc, err := recovery.NewEscape(g, cfg.VCs)
+		if err != nil {
+			return nil, err
+		}
+		s.rec = newRecState(c, esc)
 	}
 	s.chanDst = make([]int32, nChan)
 	s.inChans = make([][]int32, nSw)
@@ -322,122 +409,47 @@ func NewSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float
 		s.linkDelay[i] = cfg.LinkDelayCycles
 	}
 	s.maxDelay = cfg.LinkDelayCycles
-	s.wheel = newTimingWheel[wheelEv](int64(cfg.PacketFlits) + s.maxDelay + 2)
+	if sp.Layout != nil {
+		for i, e := range g.Edges() {
+			metres := sp.Layout.CableLength(int(e.U), int(e.V))
+			d := max(int64(math.Ceil(metres*sp.NsPerMetre/cfg.CycleNS())), 1)
+			s.linkDelay[2*i], s.linkDelay[2*i+1] = d, d
+			s.maxDelay = max(s.maxDelay, d)
+		}
+	}
 	s.credits = make([]int32, nChan*cfg.VCs)
 	for i := range s.credits {
 		s.credits[i] = int32(cfg.BufFlitsPerVC)
 	}
-	s.vcq = make([]vcQueue, nChan*cfg.VCs)
-	s.inBusy = make([]int64, nChan)
-	s.outBusy = make([]int64, nChan)
-	s.hostBusy = make([]int64, hosts)
-	s.ejBusy = make([]int64, hosts)
 	s.chanFlits = make([]int64, nChan)
 	s.hostQ = make([][]*packet, hosts)
 	s.rrIn = make([]int, nSw)
-	s.rrVC = make([]int, nChan)
 	s.edgeDead = make([]bool, g.M())
 	s.swDead = make([]bool, nSw)
 	s.chanDead = make([]bool, nChan)
-	s.firstFault = -1
-	s.swQueued = make([]int32, nSw)
-	s.chQueued = make([]int32, nChan)
-	s.credVer = make([]uint32, nSw)
-	s.parallel = make([]bool, nChan)
-	for sw := 0; sw < nSw; sw++ {
-		nb := g.Neighbors(sw)
-		for i, h := range nb {
-			for j, o := range nb {
-				if i != j && o.To == h.To {
-					s.parallel[s.outChanOf(sw, h)] = true
-				}
-			}
-		}
+	if sp.Wormhole {
+		s.eng = newWorm(s)
+	} else {
+		s.eng = newVCT(s)
 	}
 	return s, nil
 }
 
-// SetFaultPlan attaches a fault schedule to the simulation. Must be
-// called before Run. Failed channels stop granting, flits in flight on a
-// dying link (or buffered at a dying switch) are dropped, and the
-// transport layer retries dropped packets from the source with bounded
-// exponential backoff until Config.RetryBudget is exhausted. A plan with
-// no events leaves the simulation bit-identical to a plain run.
-func (s *Sim) SetFaultPlan(p *FaultPlan) error {
-	if s.now != 0 || s.nextID != 0 {
-		return fmt.Errorf("netsim: SetFaultPlan after Run started")
-	}
-	if p == nil {
-		return fmt.Errorf("netsim: nil fault plan")
-	}
-	if err := p.Validate(s.g); err != nil {
-		return err
-	}
-	s.plan = p
-	s.planIdx = 0
-	s.retryBudget = s.cfg.RetryBudget
-	s.retryBackoff = s.cfg.RetryBackoffCycles
-	s.faultTimeout = s.cfg.FaultTimeoutCycles
-	if s.retryBudget == 0 && s.cfg.RetryBackoffCycles == 0 && s.cfg.FaultTimeoutCycles == 0 {
-		// Hand-rolled Config with unset knobs: use the shipped defaults.
-		d := Default()
-		s.retryBudget = d.RetryBudget
-		s.retryBackoff = d.RetryBackoffCycles
-		s.faultTimeout = d.FaultTimeoutCycles
-	}
-	if s.retryBackoff < 1 {
-		s.retryBackoff = 1
-	}
-	if s.faultTimeout < 1 {
-		s.faultTimeout = Default().FaultTimeoutCycles
-	}
-	// Grow the timing wheel to cover the longest retry backoff.
-	maxShift := s.retryBudget - 1
-	if maxShift > 5 {
-		maxShift = 5
-	}
-	if maxShift < 0 {
-		maxShift = 0
-	}
-	horizon := int64(s.cfg.PacketFlits) + s.maxDelay + 2 + (s.retryBackoff << maxShift)
-	s.wheel = newTimingWheel[wheelEv](horizon)
-	return nil
+// NewSim builds a VCT simulation of graph g driven by router rt, traffic
+// pattern p and an offered load of rate flits/cycle/host.
+func NewSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float64) (*Sim, error) {
+	return New(Spec{Config: cfg, Graph: g, Router: rt, Pattern: p, Rate: rate})
 }
 
-// SetMonitors arms the runtime invariant monitors for this run. Must be
-// called before Run. The monitors are passive observers: arming them
-// never changes packet timing, RNG draws, or flow control — a run that
-// trips no monitor is bit-identical to an unmonitored one.
-func (s *Sim) SetMonitors(m Monitors) error {
-	if s.now != 0 || s.nextID != 0 {
-		return fmt.Errorf("netsim: SetMonitors after Run started")
-	}
-	if err := m.validate(); err != nil {
-		return err
-	}
-	s.mon = m
-	return nil
+// NewWormSim builds the wormhole counterpart of NewSim.
+func NewWormSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float64) (*Sim, error) {
+	return New(Spec{Wormhole: true, Config: cfg, Graph: g, Router: rt, Pattern: p, Rate: rate})
 }
 
-// SetRecovery arms runtime deadlock detection and progressive recovery
-// for this run (see package recovery and DESIGN.md). Must be called
-// before Run. Recovery is provably inert until a stall is confirmed: it
-// draws no randomness and changes no flow control, so a run that never
-// confirms a deadlock is bit-identical to an unarmed one.
-func (s *Sim) SetRecovery(c recovery.Config) error {
-	if s.now != 0 || s.nextID != 0 {
-		return fmt.Errorf("netsim: SetRecovery after Run started")
-	}
-	c = c.Normalize()
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	esc, err := recovery.NewEscape(s.g, s.cfg.VCs)
-	if err != nil {
-		return err
-	}
-	s.rec = newRecState(c, esc)
-	return nil
+// NewSimReplay builds a VCT simulation executing the closed-loop
+// workload r on graph g under router rt.
+func NewSimReplay(cfg Config, g *graph.Graph, rt Router, r *Replay) (*Sim, error) {
+	return New(Spec{Config: cfg, Graph: g, Router: rt, Replay: r})
 }
 
 // violate records the first monitor violation; later ones are dropped so
@@ -457,15 +469,16 @@ func (s *Sim) violate(monitor string, pkt int64, format string, args ...any) {
 // checkConservation verifies generated == delivered + lost + in-flight,
 // the packet-conservation identity that must hold at every cycle
 // boundary (drops are transient: a dropped packet either retries,
-// staying in flight, or becomes lost).
+// staying in flight, or becomes lost), then the core's flit books.
 func (s *Sim) checkConservation() {
 	if !s.mon.Conservation {
 		return
 	}
 	if s.generatedTotal != s.deliveredTotal+s.lostTotal+s.inFlight {
-		s.violate(MonitorConservation, -1, "generated %d != delivered %d + lost %d + in-flight %d",
+		s.violate(MonitorConservation, -1, s.rules.conservation,
 			s.generatedTotal, s.deliveredTotal, s.lostTotal, s.inFlight)
 	}
+	s.eng.auditFlits()
 }
 
 // outChanOf returns the directed channel from sw along the given incident
@@ -478,43 +491,17 @@ func (s *Sim) outChanOf(sw int, h graph.Half) int32 {
 	return 2*h.Edge + 1
 }
 
-// chanFor resolves a candidate to a directed channel, honoring a pinned
-// physical edge when the router specified one.
-func (s *Sim) chanFor(sw int, cand Candidate) int32 {
-	if ei := cand.pinnedEdge(); ei >= 0 {
-		e := s.g.Edge(int(ei))
-		if e.U == int32(sw) && e.V == cand.Next {
-			return 2 * ei
-		}
-		if e.V == int32(sw) && e.U == cand.Next {
-			return 2*ei + 1
-		}
-		return -1
+// pinnedChan resolves a candidate pinned to edge ei to its directed
+// channel out of sw, or -1 when the edge does not join sw to cand.Next.
+func (s *Sim) pinnedChan(sw int, cand Candidate, ei int32) int32 {
+	e := s.g.Edge(int(ei))
+	if e.U == int32(sw) && e.V == cand.Next {
+		return 2 * ei
 	}
-	return s.findOutChan(sw, int(cand.Next))
-}
-
-// findOutChan locates the directed channel from sw to next. With parallel
-// edges, the first live non-busy one is preferred; dead channels are
-// never offered.
-func (s *Sim) findOutChan(sw, next int) int32 {
-	best := int32(-1)
-	for _, h := range s.g.Neighbors(sw) {
-		if int(h.To) != next {
-			continue
-		}
-		c := s.outChanOf(sw, h)
-		if s.faultActive && s.chanDead[c] {
-			continue
-		}
-		if s.outBusy[c] <= s.now {
-			return c
-		}
-		if best < 0 {
-			best = c
-		}
+	if e.V == int32(sw) && e.U == cand.Next {
+		return 2*ei + 1
 	}
-	return best
+	return -1
 }
 
 func (s *Sim) inWindow(t int64) bool {
@@ -537,10 +524,13 @@ func (s *Sim) Run() (Result, error) {
 	s.lastProgress = 0
 	for s.now = 0; s.now < end; s.now++ {
 		s.applyFaults()
-		s.processEvents()
+		s.eng.processEvents()
 		s.inject()
-		s.allocate()
-		s.recoverStep()
+		s.eng.allocate()
+		if s.rec != nil {
+			s.eng.recoverStep()
+			s.closeDrain()
+		}
 		if s.violation != nil {
 			return s.result(), s.violation
 		}
@@ -555,7 +545,9 @@ func (s *Sim) Run() (Result, error) {
 			return s.result(), &NoProgressError{Cycle: s.now, InFlight: s.inFlight, WatchdogCycles: watchdog}
 		}
 	}
-	s.finalRecovery()
+	if s.rec != nil {
+		s.eng.finalRecovery()
+	}
 	s.checkConservation()
 	if s.violation != nil {
 		return s.result(), s.violation
@@ -563,157 +555,30 @@ func (s *Sim) Run() (Result, error) {
 	return s.result(), nil
 }
 
-// finalRecovery resolves the abort backlog at the end of a completed
-// run: confirmed victims the one-abort-per-cycle pacing had not reached
-// yet are torn down now, so the detected == recovered + lost identity
-// holds in every returned Result. Confirmed packets are always queue
-// heads (only heads run the confirmation pass and a confirmed head can
-// leave its queue only by grant, abort, or delivery), so one sweep over
-// the head entries suffices.
-func (s *Sim) finalRecovery() {
-	if s.rec == nil {
+// closeDrain ends an open drain epoch once the network has emptied,
+// performing the deferred routing-table swap first.
+func (s *Sim) closeDrain() {
+	if !s.rec.draining || s.inNetwork != 0 {
 		return
 	}
-	s.rec.victim = nil
-	vcs := int32(s.cfg.VCs)
-	for sw := 0; sw < s.nSw; sw++ {
-		for _, c := range s.inChans[sw] {
-			for vc := int32(0); vc < vcs; vc++ {
-				q := &s.vcq[c*vcs+vc]
-				if !q.empty() && q.front().pkt.deadlocked {
-					s.abortPacket(q.front().pkt, c, vc, int32(sw))
-				}
-			}
+	s.rec.finishDrain(s.now, func() {
+		if fa, ok := s.rt.(FaultAware); ok {
+			fa.UpdateFaults(s.edgeDead, s.swDead)
 		}
-	}
-}
-
-func (s *Sim) processEvents() {
-	for _, ev := range s.wheel.drain(s.now) {
-		switch ev.kind {
-		case evArrive:
-			if s.faultActive && s.chanDead[int(ev.vcIdx)/s.cfg.VCs] {
-				// The link died while these flits were on the wire.
-				s.faultDrop(ev.pkt, "FAULT")
-				continue
-			}
-			ev.pkt.wake, ev.pkt.hops = 0, 0
-			s.vcq[ev.vcIdx].push(vcEntry{pkt: ev.pkt, routableAt: s.now + s.cfg.PipelineCycles})
-			c := int(ev.vcIdx) / s.cfg.VCs
-			s.chQueued[c]++
-			s.swQueued[s.chanDst[c]]++
-		case evCredit:
-			s.credits[ev.vcIdx] += ev.amt
-			if c := ev.vcIdx / int32(s.cfg.VCs); int(c) < s.nChan-s.hosts {
-				// A credit for one of a switch's outputs: wake its parked
-				// heads. The channel's source is its reverse's destination.
-				s.credVer[s.chanDst[c^1]]++
-			}
-		case evDeliver:
-			s.deliver(ev.pkt, s.now)
-		case evRetry:
-			s.reinject(ev.pkt)
-		}
-	}
+		s.eng.routingEpoch()
+	})
 }
 
 // trace logs one lifecycle event for packets under the trace budget.
 func (s *Sim) trace(p *packet, event string, args ...any) {
-	if s.cfg.Trace == nil || p.st.PktID >= s.cfg.TracePackets {
+	if s.tracer == nil || p.st.PktID >= s.cfg.TracePackets {
 		return
 	}
-	fmt.Fprintf(s.cfg.Trace, "t=%-8d pkt=%-6d %-8s", s.now, p.st.PktID, event)
+	fmt.Fprintf(s.tracer, "t=%-8d pkt=%-6d %-8s", s.now, p.st.PktID, event)
 	for i := 0; i+1 < len(args); i += 2 {
-		fmt.Fprintf(s.cfg.Trace, " %s=%v", args[i], args[i+1])
+		fmt.Fprintf(s.tracer, " %s=%v", args[i], args[i+1])
 	}
-	fmt.Fprintln(s.cfg.Trace)
-}
-
-func (s *Sim) deliver(p *packet, at int64) {
-	if s.faultActive && s.swDead[p.st.DstSw] {
-		// The destination switch died while the packet was crossing the
-		// ejection wire.
-		s.faultDrop(p, "FAULT")
-		return
-	}
-	s.inNetwork--
-	s.inFlight--
-	s.deliveredTotal++
-	s.lastProgress = s.now
-	if s.inWindow(at) {
-		s.flitsInWindow += int64(s.cfg.PacketFlits)
-	}
-	if p.measured {
-		s.delMeasured++
-		lat := at - p.genCycle
-		s.latencySum += lat
-		s.latencies = append(s.latencies, lat)
-		s.hopsSum += int64(p.st.Step)
-		if s.firstFault >= 0 && p.genCycle >= s.firstFault {
-			s.delPostFault++
-			s.postFaultLats = append(s.postFaultLats, lat)
-		}
-	}
-	if s.rep != nil {
-		s.rep.onDeliver(p.msg, at)
-	}
-	s.flows.onDeliver(p.srcHost, p.dstHost, p.st)
-	if s.cfg.Trace != nil {
-		s.trace(p, "DELIVER", "host", p.dstHost, "hops", p.st.Step, "latency_cycles", at-p.genCycle)
-	}
-}
-
-// faultDrop handles the loss of one in-flight packet instance to a
-// fault: the transport layer reinjects it at the source after a bounded
-// exponential backoff until the retry budget runs out, at which point
-// the packet is permanently lost. Drops are progress for the watchdog:
-// a degraded network that drains unroutable packets is live, not
-// deadlocked.
-func (s *Sim) faultDrop(p *packet, why string) {
-	s.inNetwork--
-	s.faultDropQueued(p, why)
-}
-
-// faultDropQueued is faultDrop for a packet that never left its host
-// queue (dead-switch host queues): it was not in the network, so the
-// drain-emptiness count is untouched.
-func (s *Sim) faultDropQueued(p *packet, why string) {
-	s.droppedTotal++
-	s.lastProgress = s.now
-	srcSw := int(p.srcHost) / s.cfg.HostsPerSwitch
-	if int(p.attempts) < s.retryBudget && !s.swDead[srcSw] {
-		shift := p.attempts
-		if shift > 5 {
-			shift = 5
-		}
-		p.attempts++
-		s.retriedTotal++
-		s.wheel.schedule(s.now, s.now+(s.retryBackoff<<shift), wheelEv{kind: evRetry, pkt: p})
-		s.trace(p, why, "action", "retry", "attempt", p.attempts)
-		return
-	}
-	s.lostTotal++
-	s.inFlight--
-	s.trace(p, why, "action", "lost", "attempts", p.attempts)
-}
-
-// reinject puts a retried packet back on its source host queue with
-// fresh routing state.
-func (s *Sim) reinject(p *packet) {
-	srcSw := int(p.srcHost) / s.cfg.HostsPerSwitch
-	if s.swDead[srcSw] {
-		s.lostTotal++
-		s.inFlight--
-		s.lastProgress = s.now
-		s.trace(p, "RETRY", "action", "lost-src-dead")
-		return
-	}
-	p.st.Step = 0
-	p.st.RtState = 0
-	p.blockSince = -1
-	s.hostQ[p.srcHost] = append(s.hostQ[p.srcHost], p)
-	s.lastProgress = s.now
-	s.trace(p, "REINJECT", "src", p.srcHost, "attempt", p.attempts)
+	fmt.Fprintln(s.tracer)
 }
 
 // inject is one cycle of host-side work: sourcing new packets (open-loop
@@ -728,508 +593,111 @@ func (s *Sim) inject() {
 	} else {
 		s.genTraffic()
 	}
-	s.driveHosts()
+	s.eng.driveHosts()
 }
 
 // genTraffic runs the open-loop Bernoulli injection process. All RNG
 // consumption of the injection path lives here.
 func (s *Sim) genTraffic() {
 	pktProb := s.rate / float64(s.cfg.PacketFlits)
+	hps := s.cfg.HostsPerSwitch
 	for h := 0; h < s.hosts; h++ {
-		if s.faultActive && s.swDead[h/s.cfg.HostsPerSwitch] {
+		if !s.rules.failStop && s.faultActive && s.swDead[h/hps] {
 			continue // hosts of a dead switch are offline
 		}
-		if s.rng.Float64() < pktProb {
-			p := &packet{
-				srcHost:    int32(h),
-				genCycle:   s.now,
-				measured:   s.inWindow(s.now),
-				blockSince: -1,
-				msg:        -1,
-			}
-			p.st.PktID = s.nextID
-			s.nextID++
-			p.dstHost = int32(s.pattern.Dest(h, s.rng))
-			p.st.SrcSw = int32(h / s.cfg.HostsPerSwitch)
-			p.st.DstSw = p.dstHost / int32(s.cfg.HostsPerSwitch)
-			s.hostQ[h] = append(s.hostQ[h], p)
-			if s.cfg.Trace != nil {
-				s.trace(p, "GEN", "src", h, "dst", p.dstHost)
-			}
-			s.generatedTotal++
-			if p.measured {
-				s.genMeasured++
-			}
-			s.inFlight++
-		}
-	}
-}
-
-// driveHosts starts streaming the head packet of each host queue into
-// its switch when the NIC is idle and a VC has a packet's worth of
-// credits.
-func (s *Sim) driveHosts() {
-	if s.rec != nil && s.rec.draining {
-		return // drain epoch: no new packets enter the network
-	}
-	for h := 0; h < s.hosts; h++ {
-		if s.faultActive && s.swDead[h/s.cfg.HostsPerSwitch] {
-			continue // hosts of a dead switch are offline
-		}
-		if len(s.hostQ[h]) == 0 || s.hostBusy[h] > s.now {
+		if s.rng.Float64() >= pktProb {
 			continue
 		}
-		c := int32(2*s.g.M() + h)
-		bestVC := -1
-		var bestCr int32
-		for vc := 0; vc < s.cfg.VCs; vc++ {
-			if cr := s.credits[c*int32(s.cfg.VCs)+int32(vc)]; cr >= int32(s.cfg.PacketFlits) && cr > bestCr {
-				bestCr = cr
-				bestVC = vc
-			}
-		}
-		if bestVC < 0 {
+		p := s.newPacket(int32(h), -1, s.inWindow(s.now))
+		p.dstHost = int32(s.pattern.Dest(h, s.rng))
+		p.st.DstSw = p.dstHost / int32(hps)
+		if s.rules.failStop && s.faultActive && (s.swDead[p.st.SrcSw] || s.swDead[p.st.DstSw]) {
+			// Fail-stop admission: nobody sends from or to a dead switch
+			// (the draws above keep the process aligned across fault sets).
 			continue
 		}
-		p := s.hostQ[h][0]
-		s.hostQ[h] = s.hostQ[h][1:]
-		s.inNetwork++
-		s.hostBusy[h] = s.now + int64(s.cfg.PacketFlits)
-		s.credits[c*int32(s.cfg.VCs)+int32(bestVC)] -= int32(s.cfg.PacketFlits)
-		s.wheel.schedule(s.now, s.now+1+s.linkDelay[c], wheelEv{
-			kind:  evArrive,
-			vcIdx: c*int32(s.cfg.VCs) + int32(bestVC),
-			pkt:   p,
-		})
-		if s.cfg.Trace != nil {
-			s.trace(p, "INJECT", "switch", h/s.cfg.HostsPerSwitch, "vc", bestVC)
-		}
-		s.lastProgress = s.now
-	}
-}
-
-// allocate performs routing, VC allocation and switch allocation for one
-// cycle: every input port may launch at most one packet, every output
-// port may accept at most one.
-func (s *Sim) allocate() {
-	for sw := 0; sw < s.nSw; sw++ {
-		if s.swQueued[sw] == 0 || (s.faultActive && s.swDead[sw]) {
-			continue
-		}
-		ins := s.inChans[sw]
-		if len(ins) == 0 {
-			continue
-		}
-		// Tier 1: through traffic, round-robin.
-		thru := ins[:s.thruCount[sw]]
-		granted := false
-		if len(thru) > 0 {
-			start := s.rrIn[sw] % len(thru)
-			for k := 0; k < len(thru); k++ {
-				c := thru[(start+k)%len(thru)]
-				if s.chQueued[c] == 0 || s.inBusy[c] > s.now {
-					continue
-				}
-				if s.tryInput(sw, c) {
-					granted = true
-				}
-			}
-			if granted {
-				s.rrIn[sw] = (start + 1) % len(thru)
-			}
-		}
-		// Tier 2: injection channels take whatever outputs remain.
-		for _, c := range ins[s.thruCount[sw]:] {
-			if s.chQueued[c] == 0 || s.inBusy[c] > s.now {
-				continue
-			}
-			s.tryInput(sw, c)
+		s.admit(p)
+		if s.tracer != nil {
+			s.trace(p, "GEN", "src", h, "dst", p.dstHost)
 		}
 	}
 }
 
-// tryInput attempts to grant the head packet of one VC of input channel c
-// at switch sw. Returns true if a packet was launched. A parked head
-// skips the grant attempt, which would fail, but every per-cycle
-// observation still runs in order.
-func (s *Sim) tryInput(sw int, c int32) bool {
-	vcs := s.cfg.VCs
-	startVC := s.rrVC[c] % vcs
-	for j := 0; j < vcs; j++ {
-		vc := (startVC + j) % vcs
-		q := &s.vcq[c*int32(vcs)+int32(vc)]
-		if q.empty() {
-			continue
-		}
-		e := q.front()
-		if e.routableAt > s.now {
-			continue
-		}
-		if wait := s.now - e.routableAt; wait > s.maxHOLWait {
-			s.maxHOLWait = wait
-		}
-		if s.mon.MaxHOLWaitCycles > 0 && s.now-e.routableAt > s.mon.MaxHOLWaitCycles {
-			s.violate(MonitorHOLWait, e.pkt.st.PktID,
-				"head-of-line packet waited %d cycles (bound %d) at switch %d channel %d",
-				s.now-e.routableAt, s.mon.MaxHOLWaitCycles, sw, c)
-		}
-		if s.faultActive && s.now-e.routableAt > s.faultTimeout && !e.pkt.deadlocked {
-			// (A confirmed deadlock victim is excluded: recovery owns it
-			// and will abort it within the pacing backlog, keeping the
-			// detected == recovered + lost identity exact. With recovery
-			// disarmed, deadlocked is never set and nothing changes.)
-			// Head-of-line timeout: under faults a packet that cannot get
-			// a grant (typically because its destination became
-			// unreachable) drains back to the source retry path instead
-			// of wedging the network.
-			p := e.pkt
-			s.dequeue(q, sw, c)
-			s.timedOutTotal++
-			s.returnCredits(c, int32(vc))
-			s.faultDrop(p, "TIMEOUT")
-			continue
-		}
-		if p := e.pkt; (p.wake <= s.now || p.ver != s.credVer[sw]) && s.grant(sw, c, int32(vc), p) {
-			s.dequeue(q, sw, c)
-			s.rrVC[c] = (vc + 1) % vcs
-			return true
-		}
-		if s.rec != nil {
-			s.observeStall(sw, c, int32(vc), e)
-		}
-	}
-	return false
+// newPacket numbers a packet of message msg (-1 in open-loop runs) from
+// host src.
+func (s *Sim) newPacket(src, msg int32, measured bool) *packet {
+	p := &packet{srcHost: src, genCycle: s.now, measured: measured, blockSince: -1, msg: msg}
+	p.st.PktID = s.nextID
+	s.nextID++
+	p.st.SrcSw = src / int32(s.cfg.HostsPerSwitch)
+	return p
 }
 
-// observeStall advances the deadlock-detection state machine for a head
-// packet that just failed to get a grant. First pass: a head stalled
-// past StallThresholdCycles becomes a suspect. Second pass: a suspect
-// that still cannot move ConfirmCycles later is confirmed — the failed
-// grant() call that routed here IS the resource re-check, since it just
-// re-examined every candidate output and found all of them held. The
-// oldest confirmed packet observed this cycle becomes the abort victim
-// (recoverStep). Everything here is passive: no RNG, no flow control.
-func (s *Sim) observeStall(sw int, c, vc int32, e *vcEntry) {
-	p := e.pkt
-	if s.now-e.routableAt < s.rec.cfg.StallThresholdCycles {
-		return
+// admit queues p at its source host and counts it as generated.
+func (s *Sim) admit(p *packet) {
+	s.hostQ[p.srcHost] = append(s.hostQ[p.srcHost], p)
+	s.generatedTotal++
+	if p.measured {
+		s.genMeasured++
 	}
-	if p.suspectAt == 0 {
-		p.suspectAt = s.now
-		return
-	}
-	if s.now-p.suspectAt < s.rec.cfg.ConfirmCycles {
-		return
-	}
-	if !p.deadlocked {
-		p.deadlocked = true
-		s.rec.tr.Confirmed(s.now, p.st.PktID, int32(sw))
-		s.trace(p, "DLKCONF", "switch", sw, "waited", s.now-e.routableAt)
-	}
-	v := s.rec.victim
-	if v == nil || p.genCycle < v.genCycle || (p.genCycle == v.genCycle && p.st.PktID < v.st.PktID) {
-		s.rec.victim, s.rec.victimC, s.rec.victimVC, s.rec.victimSw = p, c, vc, int32(sw)
-	}
+	s.inFlight++
 }
 
-// dequeue removes the head of queue q of input channel c at switch sw.
-func (s *Sim) dequeue(q *vcQueue, sw int, c int32) {
-	q.pop()
-	s.swQueued[sw]--
-	s.chQueued[c]--
-}
-
-// park records that head p at switch sw cannot be granted before cycle
-// wake unless a credit returns to one of sw's outputs first.
-func (s *Sim) park(p *packet, sw int, wake int64) {
-	p.wake, p.ver = wake, s.credVer[sw]
-}
-
-// newRoutingEpoch forgets every cached route and parked head: the
-// router's tables, the death masks or a repaired channel's flow control
-// just changed, so every head routes afresh.
-func (s *Sim) newRoutingEpoch() {
-	for i := range s.vcq {
-		if q := &s.vcq[i]; !q.empty() {
-			q.front().pkt.wake, q.front().pkt.hops = 0, 0
-		}
-	}
-	s.hops = s.hops[:0]
-}
-
-// grant routes packet p (currently at the head of input (c, vc) of
-// switch sw) to an output if one is available. Returns true on success;
-// on failure the head is parked.
-func (s *Sim) grant(sw int, c, vc int32, p *packet) bool {
-	pf := int64(s.cfg.PacketFlits)
-	if int32(sw) == p.st.DstSw {
-		// Ejection to the destination host.
-		host := int(p.dstHost)
-		if s.ejBusy[host] > s.now {
-			s.park(p, sw, s.ejBusy[host])
-			return false
-		}
-		s.ejBusy[host] = s.now + pf
-		s.inBusy[c] = s.now + pf
-		s.wheel.schedule(s.now, s.now+pf+s.cfg.LinkDelayCycles, wheelEv{kind: evDeliver, pkt: p})
-		s.returnCredits(c, vc)
-		if s.cfg.Trace != nil {
-			s.trace(p, "EJECT", "switch", sw, "host", host)
-		}
-		s.lastProgress = s.now
-		s.released(p, sw)
-		return true
-	}
-	if s.mon.HopTTL > 0 && !p.rerouted && !p.recovering && p.st.Step >= s.mon.HopTTL {
-		// The packet has already taken HopTTL hops and still is not at
-		// its destination: the next grant would exceed the bound.
-		s.violate(MonitorHopTTL, p.st.PktID, "packet exceeded the %d-hop route bound (src sw %d, dst sw %d, at sw %d)",
-			s.mon.HopTTL, p.st.SrcSw, p.st.DstSw, sw)
-		return false
-	}
-	return s.launch(sw, c, vc, p, s.routes(sw, p))
-}
-
-// routes returns the resolved candidates of head p at switch sw: the
-// cached ones, or else fresh ones that launch caches if the grant fails.
-func (s *Sim) routes(sw int, p *packet) []hop {
-	if p.hops > 0 {
-		end := int(p.hops)
-		for end < len(s.hops) && s.hops[end].flags&hopHeader == 0 {
-			end++
-		}
-		return s.hops[p.hops:end]
-	}
-	if p.recovering {
-		// A recovery-reinjected packet rides the up*/down* escape network
-		// exclusively; it never re-enters the routing function whose
-		// dependency cycle it was cut out of.
-		s.scratch = s.rec.escapeCandidates(p.st, sw, s.scratch[:0])
-	} else {
-		s.scratch = s.rt.Candidates(p.st, sw, s.scratch[:0])
-	}
-	s.fresh = s.resolve(sw, s.scratch, s.fresh[:0])
-	return s.fresh
-}
-
-// resolve appends the hop runs of cands at switch sw to dst, in
-// candidate order. Channels that are dead for the whole epoch resolve
-// to -1.
-func (s *Sim) resolve(sw int, cands []Candidate, dst []hop) []hop {
-	for i, cand := range cands {
-		var flags uint8
-		if cand.Escape {
-			flags |= hopEscape
-		}
-		if cand.Detour {
-			flags |= hopDetour
-		}
-		if i > 0 {
-			prev, last := cands[i-1], &dst[len(dst)-1]
-			if prev.Next == cand.Next && prev.Edge == cand.Edge && last.flags&^hopParallel == flags &&
-				last.state == cand.NewState && int(last.vc)+int(last.nvc) == int(cand.VC) && last.nvc < math.MaxUint8 {
-				last.nvc++
-				continue
-			}
-		}
-		h := hop{ch: s.chanFor(sw, cand), vc: cand.VC, nvc: 1, flags: flags, state: cand.NewState}
-		if h.ch >= 0 && s.faultActive && s.chanDead[h.ch] {
-			h.ch = -1
-		}
-		if h.ch >= 0 && cand.pinnedEdge() < 0 && s.parallel[h.ch] {
-			h.flags |= hopParallel
-		}
-		dst = append(dst, h)
-	}
-	return dst
-}
-
-// keep caches the fresh routes of head p of queue qi in the hops arena
-// for its later grant attempts.
-func (s *Sim) keep(qi int32, p *packet, hops []hop) {
-	if len(s.hops)+1+len(hops) > cap(s.hops) {
-		s.compactHops(1 + len(hops))
-	}
-	p.hops = int32(len(s.hops)) + 1
-	s.hops = append(s.hops, hop{ch: qi, flags: hopHeader})
-	s.hops = append(s.hops, hops...)
-}
-
-// compactHops slides the segments of heads still cached to the front of
-// the hops arena, dropping those whose head has left its queue, and
-// doubles the arena unless need more entries leave half of it free.
-func (s *Sim) compactHops(need int) {
-	a := s.hops
-	w := 0
-	for i := 0; i < len(a); {
-		n := 1
-		for i+n < len(a) && a[i+n].flags&hopHeader == 0 {
-			n++
-		}
-		if q := &s.vcq[a[i].ch]; !q.empty() && q.front().pkt.hops == int32(i)+1 {
-			copy(a[w:], a[i:i+n])
-			q.front().pkt.hops = int32(w) + 1
-			w += n
-		}
-		i += n
-	}
-	a = a[:w]
-	if 2*(w+need) > cap(a) {
-		grown := make([]hop, w, max(2*cap(a), 2*(w+need)))
-		copy(grown, a)
-		a = grown
-	}
-	s.hops = a
-}
-
-// hopChan is the output channel a cached hop takes this cycle.
-func (s *Sim) hopChan(sw int, h hop) int32 {
-	if h.flags&hopParallel != 0 {
-		return s.findOutChan(sw, int(s.chanDst[h.ch]))
-	}
-	return h.ch
-}
-
-// wakeAt is the first cycle at which the failed grant of head p at
-// switch sw could succeed without a credit returning to sw's outputs:
-// the earliest expiry of a busy output among the hops it was allowed to
-// try (every live parallel twin counts, since findOutChan prefers an
-// idle one), or the end of its escape patience.
-func (s *Sim) wakeAt(sw int, p *packet, hops []hop, patienceUp bool) int64 {
-	wake := int64(math.MaxInt64)
-	if !patienceUp {
-		wake = p.blockSince + s.cfg.EscapePatienceCycles
-	}
-	for _, h := range hops {
-		if h.ch < 0 || (h.flags&hopEscape != 0 && !patienceUp) {
-			continue
-		}
-		if h.flags&hopParallel == 0 {
-			if b := s.outBusy[h.ch]; b > s.now && b < wake {
-				wake = b
-			}
-			continue
-		}
-		next := s.chanDst[h.ch]
-		for _, nb := range s.g.Neighbors(sw) {
-			if nb.To != next {
-				continue
-			}
-			c := s.outChanOf(sw, nb)
-			if s.faultActive && s.chanDead[c] {
-				continue
-			}
-			if b := s.outBusy[c]; b > s.now && b < wake {
-				wake = b
-			}
-		}
-	}
-	return wake
-}
-
-// launch picks the best available candidate and starts the transfer.
-// Adaptive candidates are preferred; the escape channel is offered only
-// after the packet has been head-blocked for EscapePatienceCycles (or
-// immediately when the routing function is purely deterministic and has
-// no adaptive options at all).
-func (s *Sim) launch(sw int, c, vc int32, p *packet, hops []hop) bool {
-	pf := int32(s.cfg.PacketFlits)
-	vcs := int32(s.cfg.VCs)
-	bestIdx := -1
-	var bestCredits int32 = -1
-	var bestChan, bestVC int32
-	// best scans the runs of one class (adaptive or escape) for the
-	// output VC with the most credits, first one on ties.
-	best := func(escape uint8) {
-		for i, h := range hops {
-			if h.flags&hopEscape != escape {
-				continue
-			}
-			oc := s.hopChan(sw, h)
-			if oc < 0 || s.outBusy[oc] > s.now {
-				continue
-			}
-			for v := int32(h.vc); v < int32(h.vc)+int32(h.nvc); v++ {
-				if cr := s.credits[oc*vcs+v]; cr >= pf && cr > bestCredits {
-					bestIdx, bestCredits, bestChan, bestVC = i, cr, oc, v
-				}
-			}
-		}
-	}
-	best(0)
-	patienceUp := true
-	if bestIdx < 0 {
-		// No adaptive grant. Consult the escape only without adaptive
-		// options or once patience has run out.
-		hasAdaptive := false
-		for _, h := range hops {
-			if h.flags&hopEscape == 0 {
-				hasAdaptive = true
-				break
-			}
-		}
-		patienceUp = !hasAdaptive
-		if hasAdaptive {
-			if p.blockSince < 0 {
-				p.blockSince = s.now
-			}
-			patienceUp = s.now-p.blockSince >= s.cfg.EscapePatienceCycles
-		}
-		if patienceUp {
-			best(hopEscape)
-		}
-	}
-	if bestIdx < 0 {
-		s.park(p, sw, s.wakeAt(sw, p, hops, patienceUp))
-		if p.hops == 0 {
-			s.keep(c*vcs+vc, p, hops)
-		}
-		return false
-	}
-	p.blockSince = -1
-	s.released(p, sw)
-	h := hops[bestIdx]
-	escape := h.flags&hopEscape != 0
-	if s.inWindow(s.now) {
-		s.grantsInWindow++
-		if escape {
-			s.escGrantsInWindow++
-		}
-	}
-	if h.flags&hopDetour != 0 && !p.rerouted {
-		p.rerouted = true
-		s.reroutedPkts++
-	}
-	pf64 := int64(s.cfg.PacketFlits)
-	s.inBusy[c] = s.now + pf64
-	s.outBusy[bestChan] = s.now + pf64
-	if s.parallel[bestChan] {
-		// A busier twin can change which channel findOutChan offers the
-		// parked heads here.
-		s.credVer[sw]++
-	}
-	s.credits[bestChan*vcs+bestVC] -= pf
-	if s.inWindow(s.now) {
-		s.chanFlits[bestChan] += pf64
-	}
-	s.wheel.schedule(s.now, s.now+1+s.linkDelay[bestChan], wheelEv{
-		kind:  evArrive,
-		vcIdx: bestChan*vcs + bestVC,
-		pkt:   p,
-	})
-	s.returnCredits(c, vc)
-	if s.cfg.Trace != nil {
-		s.trace(p, "GRANT", "from", sw, "to", s.chanDst[bestChan], "vc", int8(bestVC), "escape", escape)
-	}
-	p.st.Step++
-	p.st.RtState = h.state
+// deliver completes packet p at its destination host this cycle.
+func (s *Sim) deliver(p *packet) {
+	s.inNetwork--
+	s.inFlight--
+	s.deliveredTotal++
 	s.lastProgress = s.now
-	return true
+	if s.inWindow(s.now) {
+		s.flitsInWindow += int64(s.cfg.PacketFlits)
+	}
+	if p.measured {
+		s.delMeasured++
+		lat := s.now - p.genCycle
+		s.latencySum += lat
+		s.latencies = append(s.latencies, lat)
+		s.hopsSum += int64(p.st.Step)
+		if s.rules.postFault && s.firstFault >= 0 && p.genCycle >= s.firstFault {
+			s.delPostFault++
+			s.postFaultLats = append(s.postFaultLats, lat)
+		}
+	}
+	if s.rep != nil {
+		s.rep.onDeliver(p.msg, s.now)
+	}
+	s.flows.onDeliver(p.srcHost, p.dstHost, p.st)
+	if s.tracer != nil {
+		s.trace(p, "DELIVER", "host", p.dstHost, "hops", p.st.Step, "latency_cycles", s.now-p.genCycle)
+	}
+}
+
+// released clears the detection state of a packet that just advanced.
+// If it was a confirmed deadlock victim, its resumption is accounted:
+// a peer abort broke the cycle and this packet recovered for free (the
+// Disha outcome — only the victim pays the teardown). With recovery
+// disarmed deadlocked is never set and this is a plain field clear.
+func (s *Sim) released(p *packet, sw int32) {
+	if p.deadlocked && s.rec != nil {
+		s.rec.tr.Release(s.now, p.st.PktID, sw)
+		if s.rec.victim == p {
+			s.rec.victim = nil
+		}
+	}
+	p.suspectAt, p.deadlocked = 0, false
+}
+
+// restart sends an aborted or dropped packet back to its source host
+// with fresh routing state.
+func (s *Sim) restart(p *packet) {
+	p.st.Step = 0
+	p.st.RtState = 0
+	p.blockSince = -1
+	s.hostQ[p.srcHost] = append(s.hostQ[p.srcHost], p)
 }
 
 // applyFaults fires the fault events due this cycle: updates the death
-// masks, drops flits caught on dead links and packets buffered at dead
-// switches, resets repaired channels, and notifies a fault-aware router.
+// masks, lets the core react, and notifies a fault-aware router.
 func (s *Sim) applyFaults() {
 	if s.plan == nil || s.planIdx >= len(s.plan.Events) || s.plan.Events[s.planIdx].Cycle > s.now {
 		return
@@ -1248,14 +716,12 @@ func (s *Sim) applyFaults() {
 		}
 	}
 	s.rebuildChanDead()
-	s.scrubWheel()
-	s.dropDeadQueues()
+	s.eng.faultEpoch()
 	if fa, ok := s.rt.(FaultAware); ok {
 		if s.rec != nil && s.rec.cfg.DrainOnFault {
 			// Drain-before-reconfigure: the physical masks above take
 			// effect immediately (the hardware is gone), but the routing
-			// tables swap only once the network has quiesced
-			// (recoverStep → finishDrain).
+			// tables swap only once the network has quiesced (closeDrain).
 			s.rec.beginDrain(s.now)
 		} else {
 			fa.UpdateFaults(s.edgeDead, s.swDead)
@@ -1266,192 +732,31 @@ func (s *Sim) applyFaults() {
 		// reinjections never ride dead links.
 		s.rec.rebuild(s.g, s.edgeDead, s.swDead)
 	}
-	s.newRoutingEpoch()
+	s.eng.routingEpoch()
 	// Fault epoch boundary: the conservation monitor audits the books
-	// right after the masks, wheel, and queues were rewritten.
+	// right after the masks (and, under VCT, wheel and queues) changed.
 	s.checkConservation()
 }
 
-// recoverStep fires at most one abort per cycle — the oldest confirmed
-// victim observed by this cycle's allocation pass — and closes an open
-// drain epoch once the network has emptied. Nil-rec runs skip it
-// entirely.
-func (s *Sim) recoverStep() {
-	if s.rec == nil {
-		return
-	}
-	if v := s.rec.victim; v != nil {
-		c, vc, sw := s.rec.victimC, s.rec.victimVC, s.rec.victimSw
-		s.rec.victim = nil
-		if s.rec.tr.CanAbort(s.now) {
-			s.abortPacket(v, c, vc, sw)
-		}
-	}
-	if s.rec.draining && s.inNetwork == 0 {
-		s.rec.finishDrain(s.now, func() {
-			if fa, ok := s.rt.(FaultAware); ok {
-				fa.UpdateFaults(s.edgeDead, s.swDead)
-			}
-			s.newRoutingEpoch()
-		})
-	}
-}
-
-// released clears the detection state of a packet that just advanced.
-// If it was a confirmed deadlock victim, its resumption is accounted:
-// a peer abort broke the cycle and this packet recovered for free (the
-// Disha outcome — only the victim pays the teardown). With recovery
-// disarmed deadlocked is never set and this is a plain field clear.
-func (s *Sim) released(p *packet, sw int) {
-	if p.deadlocked && s.rec != nil {
-		s.rec.tr.Release(s.now, p.st.PktID, int32(sw))
-		if s.rec.victim == p {
-			s.rec.victim = nil
-		}
-	}
-	p.suspectAt, p.deadlocked = 0, false
-}
-
-// abortPacket is the Disha-style progressive teardown: the victim is
-// removed from its input VC (restoring the credits exactly as a normal
-// departure would), and either re-sourced at its host pinned to the
-// escape network, or — past the abort budget, or with a dead source —
-// declared lost with full accounting. Teardown is progress for the
-// watchdog: it frees a resource chain.
-func (s *Sim) abortPacket(p *packet, c, vc, sw int32) {
-	q := &s.vcq[c*int32(s.cfg.VCs)+vc]
-	if q.empty() || q.front().pkt != p {
-		return // the head moved since observation; no longer wedged here
-	}
-	s.dequeue(q, int(sw), c)
-	s.returnCredits(c, vc)
-	s.inNetwork--
-	s.lastProgress = s.now
-	p.suspectAt, p.deadlocked = 0, false
-	p.aborts++
-	flits := int64(s.cfg.PacketFlits)
-	srcSw := int(p.srcHost) / s.cfg.HostsPerSwitch
-	lost := int(p.aborts) > s.rec.cfg.AbortBudget ||
-		(s.faultActive && s.swDead[srcSw])
-	if lost {
-		s.rec.tr.Aborted(s.now, p.st.PktID, sw, flits, p.aborts, true)
-		s.lostTotal++
-		s.inFlight--
-		s.trace(p, "DLKLOST", "switch", sw, "attempts", p.aborts)
-		return
-	}
-	s.rec.tr.Aborted(s.now, p.st.PktID, sw, flits, p.aborts, false)
-	p.st.Step = 0
-	p.st.RtState = 0
-	p.blockSince = -1
-	p.recovering = true
-	s.hostQ[p.srcHost] = append(s.hostQ[p.srcHost], p)
-	s.trace(p, "DLKABORT", "switch", sw, "attempt", p.aborts)
-}
-
 // rebuildChanDead recomputes the per-channel death mask from the edge
-// and switch masks, resetting the flow-control state of channels that
-// just came back from a repair.
+// and switch masks, listing the channels that just came back in
+// s.repaired.
 func (s *Sim) rebuildChanDead() {
-	vcs := s.cfg.VCs
+	s.repaired = s.repaired[:0]
+	set := func(c int32, dead bool) {
+		if s.chanDead[c] != dead {
+			s.chanDead[c] = dead
+			if !dead {
+				s.repaired = append(s.repaired, c)
+			}
+		}
+	}
 	for i, e := range s.g.Edges() {
 		dead := s.edgeDead[i] || s.swDead[e.U] || s.swDead[e.V]
-		s.setChanDead(int32(2*i), dead, vcs)
-		s.setChanDead(int32(2*i+1), dead, vcs)
+		set(int32(2*i), dead)
+		set(int32(2*i+1), dead)
 	}
 	for h := 0; h < s.hosts; h++ {
-		c := int32(2*s.g.M() + h)
-		s.setChanDead(c, s.swDead[h/s.cfg.HostsPerSwitch], vcs)
+		set(int32(2*s.g.M()+h), s.swDead[h/s.cfg.HostsPerSwitch])
 	}
-}
-
-func (s *Sim) setChanDead(c int32, dead bool, vcs int) {
-	if s.chanDead[c] == dead {
-		return
-	}
-	s.chanDead[c] = dead
-	if !dead {
-		// Repair: fresh flow-control state. Credits restart at full
-		// buffer capacity minus whatever survived in the input VCs
-		// (packets already buffered downstream keep draining normally).
-		for vc := 0; vc < vcs; vc++ {
-			q := &s.vcq[c*int32(vcs)+int32(vc)]
-			occupied := int32(len(q.entries)-q.head) * int32(s.cfg.PacketFlits)
-			s.credits[c*int32(vcs)+int32(vc)] = int32(s.cfg.BufFlitsPerVC) - occupied
-		}
-		s.inBusy[c] = s.now
-		s.outBusy[c] = s.now
-	}
-}
-
-// scrubWheel removes scheduled events riding channels that are now dead:
-// arrivals become fault drops (the flits died on the wire) and pending
-// credits evaporate (the channel's flow control resets on repair).
-func (s *Sim) scrubWheel() {
-	vcs := s.cfg.VCs
-	var victims []*packet
-	for i, slot := range s.wheel.slots {
-		kept := slot[:0]
-		for _, ev := range slot {
-			switch ev.kind {
-			case evArrive:
-				if s.chanDead[int(ev.vcIdx)/vcs] {
-					victims = append(victims, ev.pkt)
-					continue
-				}
-			case evCredit:
-				if s.chanDead[int(ev.vcIdx)/vcs] {
-					continue
-				}
-			}
-			kept = append(kept, ev)
-		}
-		s.wheel.slots[i] = kept
-	}
-	// Drop after the scan: retries scheduled by faultDrop append to
-	// wheel slots and must not be visited by the filter above.
-	for _, p := range victims {
-		s.faultDrop(p, "FAULT")
-	}
-}
-
-// dropDeadQueues drains the input VCs and host queues of dead switches.
-func (s *Sim) dropDeadQueues() {
-	vcs := s.cfg.VCs
-	var victims, queued []*packet
-	for sw := 0; sw < s.nSw; sw++ {
-		if !s.swDead[sw] {
-			continue
-		}
-		for _, c := range s.inChans[sw] {
-			for vc := 0; vc < vcs; vc++ {
-				q := &s.vcq[c*int32(vcs)+int32(vc)]
-				for !q.empty() {
-					victims = append(victims, q.front().pkt)
-					s.dequeue(q, sw, c)
-				}
-			}
-		}
-		for h := sw * s.cfg.HostsPerSwitch; h < (sw+1)*s.cfg.HostsPerSwitch; h++ {
-			queued = append(queued, s.hostQ[h]...)
-			s.hostQ[h] = nil
-		}
-	}
-	for _, p := range victims {
-		s.faultDrop(p, "FAULT")
-	}
-	for _, p := range queued {
-		s.faultDropQueued(p, "FAULT")
-	}
-}
-
-// returnCredits schedules the freed buffer space of input VC (c, vc) back
-// to the channel's sender once the tail has left and the credit has
-// crossed the wire.
-func (s *Sim) returnCredits(c, vc int32) {
-	s.wheel.schedule(s.now, s.now+int64(s.cfg.PacketFlits)+s.linkDelay[c], wheelEv{
-		kind:  evCredit,
-		vcIdx: c*int32(s.cfg.VCs) + vc,
-		amt:   int32(s.cfg.PacketFlits),
-	})
 }
